@@ -131,6 +131,26 @@ def check_wire_framing(trace) -> None:
         "trace frame digest not deterministic"
 
 
+def tiny_machine():
+    """The default machine with caches and TLBs a few lines/pages big.
+
+    Fuzz programs fit in the default 16 KiB caches and a handful of 4 KiB
+    pages, so they almost never evict, write back or miss in a TLB; this
+    machine makes every generated program exercise those paths.
+    """
+    from repro.sim.cache import CacheConfig, HierarchyConfig, TLBConfig
+    from repro.sim.ooo import MachineConfig
+
+    hierarchy = HierarchyConfig(
+        il1=CacheConfig("il1", nsets=4, assoc=1, line_size=16, hit_latency=1),
+        dl1=CacheConfig("dl1", nsets=2, assoc=1, line_size=8, hit_latency=1),
+        ul2=CacheConfig("ul2", nsets=2, assoc=2, line_size=32, hit_latency=6),
+        itlb=TLBConfig("itlb", entries=2, assoc=2, page_size=64),
+        dtlb=TLBConfig("dtlb", entries=2, assoc=1, page_size=16),
+    )
+    return MachineConfig(n_pfus=2, reconfig_latency=10, hierarchy=hierarchy)
+
+
 def check_simulators(program: Program, ext_defs=None) -> None:
     """Differentially check the fast simulation paths on ``program``.
 
@@ -138,8 +158,8 @@ def check_simulators(program: Program, ext_defs=None) -> None:
     interpreter (architectural state, trace, execution counts, bitwidth
     profile must all match), then replays the trace through the timing
     model with the dense-window fast path and the reference loop
-    (``SimStats`` must match field-for-field). Raises ``AssertionError``
-    on any divergence.
+    (``SimStats`` must match field-for-field), on the default machine and
+    on :func:`tiny_machine`. Raises ``AssertionError`` on any divergence.
     """
     import dataclasses
 
@@ -166,28 +186,32 @@ def check_simulators(program: Program, ext_defs=None) -> None:
         ref.bitwidths.max_result_width, "result widths diverged"
     check_wire_framing(fast.trace)
 
-    config = MachineConfig(n_pfus=2, reconfig_latency=10)
-    stats_fast = OoOSimulator(
-        program, config=config, ext_defs=ext_defs
-    ).simulate(fast.trace)
-    slow_cfg = dataclasses.replace(config, sim_fast_path=False)
-    stats_slow = OoOSimulator(
-        program, config=slow_cfg, ext_defs=ext_defs
-    ).simulate(fast.trace)
-    assert vars(stats_fast) == vars(stats_slow), "SimStats diverged"
+    for label, config in (
+        ("default", MachineConfig(n_pfus=2, reconfig_latency=10)),
+        ("tiny", tiny_machine()),
+    ):
+        stats_fast = OoOSimulator(
+            program, config=config, ext_defs=ext_defs
+        ).simulate(fast.trace)
+        slow_cfg = dataclasses.replace(config, sim_fast_path=False)
+        stats_slow = OoOSimulator(
+            program, config=slow_cfg, ext_defs=ext_defs
+        ).simulate(fast.trace)
+        assert vars(stats_fast) == vars(stats_slow), \
+            f"SimStats diverged ({label} machine)"
 
-    # Sharded replay must stitch to the exact serial stats even with
-    # deliberately tiny slices and warmup (forcing the boundary check
-    # and checkpoint-repair machinery on every generated program).
-    if len(fast.trace) >= 8:
-        from repro.sim.shard import simulate_sharded
+        # Sharded replay must stitch to the exact serial stats even with
+        # deliberately tiny slices and warmup (forcing the boundary check
+        # and checkpoint-repair machinery on every generated program).
+        if len(fast.trace) >= 8:
+            from repro.sim.shard import simulate_sharded
 
-        stats_shard = simulate_sharded(
-            program, fast.trace, config, ext_defs=ext_defs,
-            jobs=1, slices=4, warmup=16,
-        )
-        assert vars(stats_shard) == vars(stats_fast), \
-            "sharded SimStats diverged from serial"
+            stats_shard = simulate_sharded(
+                program, fast.trace, config, ext_defs=ext_defs,
+                jobs=1, slices=4, warmup=16,
+            )
+            assert vars(stats_shard) == vars(stats_fast), \
+                f"sharded SimStats diverged from serial ({label} machine)"
 
 
 def check_program(program: Program, n_pfus_choices=(1, 2, 4, None)) -> int:

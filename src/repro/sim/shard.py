@@ -15,13 +15,13 @@ How it works
 1. **Boundary pass (serial, cheap).** With perfect branch prediction the
    memory system and the fetch schedule have no feedback from the
    out-of-order core, so one pass over the index/address stream — the
-   same dense pre-pass the fast path already caches on the trace —
-   yields every instruction's absolute fetch cycle, load latency and
-   I-fetch stall, plus the final cache/TLB statistics.  The PFU bank's
-   *contents* (which configurations are loaded where, and their LRU
-   order) are likewise a pure function of the ``conf`` sequence, so the
-   pass also snapshots the bank at each slice's warmup start.  No OoO
-   machinery runs here.
+   same pre-pass (:mod:`repro.sim.ooo.prepass`) the fast path caches
+   on the trace — yields every instruction's absolute fetch cycle and
+   load latency, the fetch-stall total, and the final cache/TLB
+   statistics.  The PFU bank's *contents* (which configurations are
+   loaded where, and their LRU order) are likewise a pure function of
+   the ``conf`` sequence, so the pass also snapshots the bank at each
+   slice's warmup start.  No OoO machinery runs here.
 
 2. **Parallel slice replay.** Each slice replays
    ``[warmup_start, end)`` with the shard variant of the compiled fast
@@ -83,6 +83,7 @@ from repro.sim.ooo.pipeline import (
     OoOSimulator,
     _fast_loop,
 )
+from repro.sim.ooo.prepass import Prepass
 from repro.sim.ooo.stats import SimStats
 from repro.sim.trace import ColumnView, DynTrace
 
@@ -180,18 +181,14 @@ def plan_slices(
 # boundary pass: per-slice seed state from the index/address stream
 
 
-def _fcyc_array(sim: OoOSimulator, trace: DynTrace, fextra, taken):
-    """Absolute fetch cycles as a sliceable array (cached on the trace
-    alongside the list form the serial fast path uses)."""
-    key = (
-        id(trace.indices), len(trace), sim.config.hierarchy,
-        sim.config.fetch_width,
-    )
+def _fcyc_array(trace: DynTrace, pre: Prepass):
+    """The pre-pass's absolute fetch cycles as a sliceable array (cached
+    on the trace next to the pre-pass it was converted from)."""
     cached = getattr(trace, _FCYC_ATTR, None)
-    if cached is not None and cached[0] == key:
+    if cached is not None and cached[0] is pre:
         return cached[1]
-    fcyc = array("q", sim._fetch_cycles(trace, fextra, taken))
-    setattr(trace, _FCYC_ATTR, (key, fcyc))
+    fcyc = array("q", pre.fcyc)
+    setattr(trace, _FCYC_ATTR, (pre, fcyc))
     return fcyc
 
 
@@ -274,8 +271,8 @@ def _prepare(sim: OoOSimulator, trace: DynTrace, plan: ShardPlan,
              obs_live: bool):
     """Boundary pass: slice payloads (picklable) plus the parent-side
     data the stitch step needs."""
-    fextra, taken, mlat, cache_snapshot = sim._dense_pass(trace)
-    fcyc = _fcyc_array(sim, trace, fextra, taken)
+    pre = sim._prepass(trace, get_recorder() if obs_live else None)
+    fcyc = _fcyc_array(trace, pre)
     seeds = _bank_seeds(sim, trace, plan)
     counts = _class_counts(sim, trace)
     payloads = []
@@ -285,7 +282,7 @@ def _prepare(sim: OoOSimulator, trace: DynTrace, plan: ShardPlan,
     # no longer copied once per slice.  Views materialise as plain
     # arrays only when pickled to a pool worker.
     fcyc_view = ColumnView(fcyc)
-    mlat_view = ColumnView(mlat)
+    mlat_view = ColumnView(pre.mlat)
     for p in range(plan.n_slices):
         b0, b1 = plan.boundaries[p], plan.boundaries[p + 1]
         w0 = plan.warm_start(p)
@@ -303,8 +300,8 @@ def _prepare(sim: OoOSimulator, trace: DynTrace, plan: ShardPlan,
             "bank_seed": seeds[p] if seeds else None,
         })
     aux = {
-        "cache": cache_snapshot,
-        "fextra_sum": sum(fextra),
+        "cache": pre.cache,
+        "fetch_stall": pre.fetch_stall,
         "class_counts": counts,
     }
     return payloads, aux
@@ -682,7 +679,7 @@ def _stitch(sim: OoOSimulator, n: int, outs: list[dict], aux: dict,
         stats.stall_cycles = {
             reason: cycles
             for reason, cycles in zip(
-                _STALL_NAMES, (aux["fextra_sum"], *totals)
+                _STALL_NAMES, (aux["fetch_stall"], *totals)
             )
             if cycles
         }
@@ -735,7 +732,7 @@ def _publish_shard(sim: OoOSimulator, obs, plan: ShardPlan, n: int,
 def _plan_for(sim: OoOSimulator, n: int, jobs: int,
               slices: int | None, warmup: int | None) -> ShardPlan | None:
     """Sharding eligibility mirrors the fast path's: perfect prediction
-    and the fast loop enabled (the dense boundary pass needs both), and
+    and the fast loop enabled (the boundary pre-pass needs both), and
     a plan whose parallelism can pay off (or explicit ``slices``)."""
     if not sim._fast_eligible():
         return None
