@@ -4,15 +4,13 @@ The fleet acceptance benchmark: ``loadtest.run_throughput`` drives a
 pipelined simulate load over ``_PROGRAMS`` distinct programs through a
 gateway fronting first one, then two real backend subprocesses.  The
 consistent-hash ring spreads the distinct program digests across the
-fleet, so with two backends the work runs in two OS processes — the
-multi-node scaling the sharded-replay experiments of PR 5 could not
-show inside one process.
+fleet, so with two backends the work runs in two OS processes.
 
 Asserted shape: zero lost requests in every leg (the gateway's core
 guarantee).  The scaling factor is *recorded, not asserted* — on a
 1-core CI box two backends time-slice one core and the curve is
-honestly flat, which is exactly why the entry carries the ``cores``
-field convention from PR 5.  The measured point lands both in
+honestly flat, which is exactly why the entry carries a ``cores``
+field.  The measured point lands both in
 ``benchmarks/results/gateway_fleet.txt`` and as the
 ``gateway_fleet_throughput`` entry of ``BENCH_simulator.json``.
 """

@@ -42,15 +42,3 @@ def test_ooo_simulator_throughput(benchmark, kernel, kernel_trace):
     )
     assert stats.instructions == len(kernel_trace)
 
-
-def test_sharded_replay_throughput(benchmark, kernel, kernel_trace):
-    """Sharded replay (2 worker processes) — the CI guard also proves
-    the stitched stats byte-identical to the serial replay."""
-    from repro.sim.shard import simulate_sharded
-
-    serial = OoOSimulator(kernel, MachineConfig()).simulate(kernel_trace)
-    stats = benchmark.pedantic(
-        lambda: simulate_sharded(kernel, kernel_trace, jobs=2, slices=4),
-        rounds=3, iterations=1, warmup_rounds=1,
-    )
-    assert vars(stats) == vars(serial)

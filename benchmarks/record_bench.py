@@ -10,7 +10,9 @@ against.
 ``--compare RESULTS.json`` takes a ``pytest-benchmark --benchmark-json``
 export, compares each benchmark's median against the committed baseline,
 and exits non-zero if any median regressed by more than ``--tolerance``
-(default 30%). Only regressions fail; improvements just print.
+(default 30%) or if a committed ``test_*`` baseline entry has no result
+in the export. Only regressions and missing benchmarks fail;
+improvements just print.
 
 Usage::
 
@@ -40,7 +42,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.asm import assemble  # noqa: E402
 from repro.sim.functional import FunctionalSimulator  # noqa: E402
 from repro.sim.ooo import MachineConfig, OoOSimulator  # noqa: E402
-from repro.sim.shard import simulate_sharded  # noqa: E402
 
 # the same kernel bench_simulator_perf benchmarks (keep in sync)
 _KERNEL = (
@@ -48,10 +49,6 @@ _KERNEL = (
     + "\n".join("    addu $t0, $t0, $t1\n    xor $t1, $t0, $t9" for _ in range(4))
     + "\n    addiu $t9, $t9, -1\n    bgtz $t9, loop\n    halt\n"
 )
-
-# a longer run of the same loop for the sharded-replay case: slice
-# parallelism only pays off once per-slice work dwarfs pool startup
-_LONG_KERNEL = _KERNEL.replace("li $t9, 3000", "li $t9, 60000")
 
 
 def _median_seconds(fn, repeats: int = 5) -> float:
@@ -100,75 +97,10 @@ def measure() -> dict:
             "reference_ops_per_s": round(ops / ref_s),
             "speedup_vs_reference": round(ref_s / fast_s, 2),
         }
-    benchmarks.update(_measure_sharded(program, trace))
     benchmarks.update(_measure_explore_pruning())
     benchmarks.update(_measure_selection())
     benchmarks.update(_measure_wire_framing())
     return benchmarks
-
-
-def _measure_sharded(program, trace) -> dict:
-    """The sharded-replay entries.
-
-    ``test_sharded_replay_throughput`` mirrors the pytest benchmark (same
-    kernel, jobs=2) so ``--compare`` can regress it; ``sharded_replay_jobs4``
-    is the wall-clock speedup record on a longer trace.  Both record the
-    honest numbers for *this* machine — the ``cores`` field says how much
-    parallelism was physically available, and the divergence check is
-    strict regardless (recording aborts if the stitched stats are not
-    byte-identical to serial).
-    """
-    cores = os.cpu_count() or 1
-
-    def check(serial, sharded) -> None:
-        if vars(serial) != vars(sharded):
-            raise SystemExit("sharded replay diverged from serial replay")
-
-    check(OoOSimulator(program, MachineConfig()).simulate(trace),
-          simulate_sharded(program, trace, jobs=2, slices=4))
-    shard_s = _median_seconds(
-        lambda: simulate_sharded(program, trace, jobs=2, slices=4)
-    )
-    serial_s = _median_seconds(
-        lambda: OoOSimulator(program, MachineConfig()).simulate(trace)
-    )
-    entries = {
-        "test_sharded_replay_throughput": {
-            "median_s": round(shard_s, 6),
-            "ops_per_s": round(len(trace) / shard_s),
-            "serial_median_s": round(serial_s, 6),
-            "speedup_vs_serial": round(serial_s / shard_s, 2),
-            "jobs": 2,
-            "cores": cores,
-        },
-    }
-
-    long_program = assemble(_LONG_KERNEL)
-    long_trace = FunctionalSimulator(long_program).run(
-        collect_trace=True
-    ).trace
-    check(OoOSimulator(long_program, MachineConfig()).simulate(long_trace),
-          simulate_sharded(long_program, long_trace, jobs=4))
-    long_shard_s = _median_seconds(
-        lambda: simulate_sharded(long_program, long_trace, jobs=4),
-        repeats=3,
-    )
-    long_serial_s = _median_seconds(
-        lambda: OoOSimulator(long_program, MachineConfig()).simulate(
-            long_trace
-        ),
-        repeats=3,
-    )
-    entries["sharded_replay_jobs4"] = {
-        "median_s": round(long_shard_s, 6),
-        "ops_per_s": round(len(long_trace) / long_shard_s),
-        "serial_median_s": round(long_serial_s, 6),
-        "speedup_vs_serial": round(long_serial_s / long_shard_s, 2),
-        "jobs": 4,
-        "cores": cores,
-        "trace_instructions": len(long_trace),
-    }
-    return entries
 
 
 def _measure_explore_pruning() -> dict:
@@ -338,11 +270,18 @@ def _measure_wire_framing() -> dict:
 
 
 def _git_sha() -> str:
-    try:
+    """HEAD's sha, suffixed ``-dirty`` when the working tree has
+    uncommitted changes (numbers recorded before a commit would
+    otherwise carry the parent's sha)."""
+    def git(*args: str) -> str:
         return subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT,
+            ["git", *args], cwd=REPO_ROOT,
             capture_output=True, text=True, check=True,
         ).stdout.strip()
+
+    try:
+        sha = git("rev-parse", "HEAD")
+        return sha + "-dirty" if git("status", "--porcelain") else sha
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
 
@@ -366,9 +305,6 @@ def write_baseline(path: Path) -> None:
     for name, row in doc["benchmarks"].items():
         if "speedup_vs_reference" in row:
             detail = f"{row['speedup_vs_reference']}x vs reference"
-        elif "speedup_vs_serial" in row:
-            detail = (f"{row['speedup_vs_serial']}x vs serial, "
-                      f"jobs={row['jobs']}, {row['cores']} core(s)")
         elif "algorithms" in row:
             detail = ", ".join(
                 f"{name} {sub['median_s'] * 1e3:.1f}ms"
@@ -390,8 +326,10 @@ def compare(results_path: Path, tolerance: float) -> int:
     baseline = json.loads(BASELINE.read_text())["benchmarks"]
     results = json.loads(results_path.read_text())
     failures = 0
+    seen = set()
     for bench in results["benchmarks"]:
         name = bench["name"].split("[")[0].split("::")[-1]
+        seen.add(name)
         if name not in baseline:
             print(f"  {name}: no baseline, skipping")
             continue
@@ -406,8 +344,15 @@ def compare(results_path: Path, tolerance: float) -> int:
             f"  {name}: median {new * 1e3:.2f}ms vs baseline "
             f"{base * 1e3:.2f}ms ({change:+.1%}) {status}"
         )
+    # a pytest-benchmark baseline that produced no result has silently
+    # stopped being gated: fail until the entry or the benchmark returns
+    for name in sorted(n for n in baseline if n.startswith("test_")):
+        if name not in seen:
+            print(f"  {name}: MISSING from {results_path.name}")
+            failures += 1
     if failures:
-        print(f"{failures} benchmark(s) regressed beyond {tolerance:.0%}")
+        print(f"{failures} benchmark(s) missing or regressed beyond "
+              f"{tolerance:.0%}")
         return 1
     print("all benchmarks within tolerance")
     return 0

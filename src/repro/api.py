@@ -19,8 +19,6 @@ dataclasses (:class:`~repro.program.program.Program`,
 :class:`~repro.profiling.ProgramProfile`,
 :class:`~repro.extinst.Selection`, :class:`~repro.sim.ooo.SimStats`), so
 code written against the facade interoperates with the deeper layers.
-The historical entry points (e.g. ``repro.sim.ooo.simulate_program``)
-keep working but emit :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
@@ -184,7 +182,6 @@ def simulate(
     ext_defs: Mapping[int, "ExtInstDef"] | None = None,
     observe: bool | Recorder = False,
     max_steps: int = _DEFAULT_MAX_STEPS,
-    jobs: int = 1,
 ) -> "SimStats | list[SimStats]":
     """Functionally execute ``program`` then replay it through the
     out-of-order timing model.
@@ -198,11 +195,6 @@ def simulate(
     :func:`~repro.sim.ooo.simulate_many`; a lazy source is drawn exactly
     once); the return value is then a list of
     :class:`~repro.sim.ooo.SimStats` in configuration order.
-    ``jobs > 1`` shards the timing replay into trace slices executed
-    across worker processes (:mod:`repro.sim.shard`); it is purely an
-    execution strategy — results stay byte-identical to ``jobs=1``,
-    with automatic serial fallback whenever exactness cannot be
-    guaranteed.
     ``observe`` controls observability (:mod:`repro.obs`): pass a
     :class:`~repro.obs.Recorder` to install it for the duration of this
     call, or ``True`` to record into the process-wide recorder, enabling
@@ -217,15 +209,7 @@ def simulate(
         )
         if machine is not None and not isinstance(machine, MachineConfig):
             return simulate_many(
-                program, result.trace, machine, ext_defs=ext_defs,
-                jobs=jobs,
-            )
-        if jobs > 1:
-            from repro.sim.shard import simulate_sharded
-
-            return simulate_sharded(
-                program, result.trace, machine, ext_defs=ext_defs,
-                jobs=jobs,
+                program, result.trace, machine, ext_defs=ext_defs
             )
         sim = OoOSimulator(program, config=machine, ext_defs=ext_defs)
         return sim.simulate(result.trace)

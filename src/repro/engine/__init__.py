@@ -19,7 +19,7 @@ Typical use::
 
 Environment knobs (used by :func:`default_engine`, which the figure
 drivers fall back to): ``T1000_JOBS``, ``T1000_CACHE_DIR``,
-``T1000_NO_CACHE``, ``T1000_SIM_JOBS``.
+``T1000_NO_CACHE``.
 """
 
 from __future__ import annotations
@@ -92,11 +92,6 @@ class EngineConfig:
     ``no_cache`` wins over ``cache_dir`` (explicit opt-out).  A
     ``job_timeout`` of None disables wall-clock budgets; ``retries`` is
     the number of extra attempts for transient failures/timeouts.
-    ``sim_jobs`` shards each timing replay into trace slices executed
-    across that many worker processes (:mod:`repro.sim.shard`) — an
-    execution strategy only: results and cache keys are identical to
-    serial, and it composes with ``jobs`` (each experiment job shards
-    its own replays).
     """
 
     jobs: int = 1
@@ -105,7 +100,6 @@ class EngineConfig:
     validate: bool = True
     job_timeout: float | None = None
     retries: int = 1
-    sim_jobs: int = 1
 
     def resolved_cache_dir(self) -> str | None:
         if self.no_cache or not self.cache_dir:
@@ -125,18 +119,13 @@ class ExperimentEngine:
                 cache_dir, telemetry=self.telemetry
             )
             self.pipeline = ArtifactPipeline(
-                store=self.store, telemetry=self.telemetry,
-                sim_jobs=self.config.sim_jobs,
+                store=self.store, telemetry=self.telemetry
             )
         else:
             # Storeless engines share the process-wide pipeline so labs,
             # figure drivers, and repeated CLI calls reuse artefacts.
             self.store = None
             self.pipeline = get_default_pipeline()
-            if self.config.sim_jobs > 1:
-                # execution strategy only — never changes results, so
-                # flipping it on the shared pipeline is safe
-                self.pipeline.sim_jobs = self.config.sim_jobs
         self._cache_dir = cache_dir
 
     # ------------------------------------------------------------------
@@ -201,8 +190,7 @@ class ExperimentEngine:
         graph.add(Job(
             job_id=profile_id, kind="profile",
             payload={"stage": "profile", "cache_dir": self._cache_dir,
-                     "workload": spec.workload, "scale": spec.scale,
-                     "sim_jobs": self.config.sim_jobs},
+                     "workload": spec.workload, "scale": spec.scale},
             timeout=self.config.job_timeout, retries=self.config.retries,
         ))
         if spec.algorithm == BASELINE:
@@ -236,9 +224,7 @@ class ExperimentEngine:
             leaf_id = f"experiment:{spec.token()}"
             graph.add(Job(
                 job_id=leaf_id, kind="experiment",
-                payload=spec_payload(
-                    spec, self._cache_dir, self.config.sim_jobs
-                ),
+                payload=spec_payload(spec, self._cache_dir),
                 deps=deps,
                 timeout=self.config.job_timeout, retries=self.config.retries,
             ))
@@ -276,8 +262,7 @@ class ExperimentEngine:
                     job_id=profile_id, kind="profile",
                     payload={"stage": "profile", "cache_dir": self._cache_dir,
                              "workload": workload, "scale": scale,
-                             "baseline": False,
-                             "sim_jobs": self.config.sim_jobs},
+                             "baseline": False},
                     timeout=self.config.job_timeout,
                     retries=self.config.retries,
                 ))
@@ -294,8 +279,7 @@ class ExperimentEngine:
                              "workload": workload, "scale": scale,
                              "algorithm": BASELINE, "select_pfus": None,
                              "validate": req["validate"],
-                             "machine": machine_to_json(core),
-                             "sim_jobs": self.config.sim_jobs},
+                             "machine": machine_to_json(core)},
                     deps=profile_deps,
                     timeout=self.config.job_timeout,
                     retries=self.config.retries,
@@ -335,8 +319,7 @@ class ExperimentEngine:
                          "algorithm": algorithm,
                          "select_pfus": req["select_pfus"],
                          "validate": req["validate"],
-                         "machine": machine_to_json(machine),
-                         "sim_jobs": self.config.sim_jobs},
+                         "machine": machine_to_json(machine)},
                 deps=tuple(deps),
                 timeout=self.config.job_timeout,
                 retries=self.config.retries,
@@ -403,6 +386,5 @@ def default_engine() -> ExperimentEngine:
             jobs=int(os.environ.get("T1000_JOBS") or 1),
             cache_dir=os.environ.get("T1000_CACHE_DIR") or None,
             no_cache=bool(os.environ.get("T1000_NO_CACHE")),
-            sim_jobs=int(os.environ.get("T1000_SIM_JOBS") or 1),
         ))
     return _DEFAULT_ENGINE

@@ -192,15 +192,9 @@ class ArtifactPipeline:
         self,
         store: ArtifactStore | None = None,
         telemetry: Telemetry | None = None,
-        sim_jobs: int = 1,
     ):
         self.telemetry = telemetry or Telemetry()
         self.store = store
-        # Worker processes for sharded trace replay in the timing stages
-        # (repro.sim.shard). Purely an execution strategy: results are
-        # byte-identical to serial, so it must NEVER enter cache keys —
-        # a warm cache serves sharded and serial runs interchangeably.
-        self.sim_jobs = sim_jobs
         if store is not None and store.telemetry is not self.telemetry:
             store.telemetry = self.telemetry
         self._memo: dict[tuple, Any] = {}
@@ -369,23 +363,6 @@ class ArtifactPipeline:
     # ------------------------------------------------------------------
     # timing
 
-    def _replay(
-        self,
-        program: Program,
-        trace: DynTrace,
-        machine: MachineConfig,
-        defs: dict[int, ExtInstDef] | None,
-    ) -> SimStats:
-        """Timing replay, sharded across ``sim_jobs`` processes when
-        configured (byte-identical either way)."""
-        if self.sim_jobs > 1:
-            from repro.sim.shard import simulate_sharded
-
-            return simulate_sharded(
-                program, trace, machine, ext_defs=defs, jobs=self.sim_jobs
-            )
-        return OoOSimulator(program, machine, ext_defs=defs).simulate(trace)
-
     def baseline_timing(
         self, name: str, scale: int, machine: MachineConfig | None = None
     ) -> SimStats:
@@ -397,9 +374,9 @@ class ArtifactPipeline:
             trace = self.trace(name, scale, BASELINE)
             self._sim_counter("sim.timing")
             with _scoped(workload=name, algorithm=BASELINE):
-                return self._replay(
-                    self.program(name, scale), trace, machine, None
-                )
+                return OoOSimulator(
+                    self.program(name, scale), machine
+                ).simulate(trace)
 
         return self._artifact(
             ("timing", name, scale, BASELINE, mfp),
@@ -443,7 +420,9 @@ class ArtifactPipeline:
                 n_pfus=machine.n_pfus,
                 reconfig_latency=machine.reconfig_latency,
             ):
-                return self._replay(program, trace, machine, defs)
+                return OoOSimulator(
+                    program, machine, ext_defs=defs
+                ).simulate(trace)
 
         return self._artifact(
             ("timing", name, scale, algorithm, select_pfus, validate, mfp),
@@ -602,17 +581,13 @@ def run_stage(pipeline: ArtifactPipeline, payload: dict) -> dict:
 
 def execute_job(payload: dict) -> dict:
     """Worker-process job runner (resolves the pipeline by cache dir)."""
-    pipeline = _pipeline_for(payload.get("cache_dir"))
-    pipeline.sim_jobs = payload.get("sim_jobs", 1)
-    return run_stage(pipeline, payload)
+    return run_stage(_pipeline_for(payload.get("cache_dir")), payload)
 
 
-def spec_payload(
-    spec: ExperimentSpec, cache_dir: str | None, sim_jobs: int = 1
-) -> dict:
+def spec_payload(spec: ExperimentSpec, cache_dir: str | None) -> dict:
     """Build the picklable job payload for an experiment spec."""
     return {"stage": "experiment", "cache_dir": cache_dir,
-            "spec": asdict(spec), "sim_jobs": sim_jobs}
+            "spec": asdict(spec)}
 
 
 def selection_from_payload(value: dict) -> Selection:

@@ -9,10 +9,8 @@ the folding machinery for as long as desired.
 The campaign also differentially fuzzes the simulators themselves: for
 every generated program (and every rewrite of it), the block-compiled
 functional interpreter must produce an :class:`ExecutionResult`
-identical to the reference loop's, the dense-window timing replay an
-identical :class:`SimStats`, and the sharded parallel replay
-(:mod:`repro.sim.shard`, run with deliberately tiny slices) an identical
-stitched :class:`SimStats` (see :func:`check_simulators`).  Every
+identical to the reference loop's, and the dense-window timing replay
+an identical :class:`SimStats` (see :func:`check_simulators`).  Every
 generated trace is additionally round-tripped through the binary wire
 framing (:func:`check_wire_framing`) to pin the serve path's codec.
 
@@ -199,19 +197,6 @@ def check_simulators(program: Program, ext_defs=None) -> None:
         ).simulate(fast.trace)
         assert vars(stats_fast) == vars(stats_slow), \
             f"SimStats diverged ({label} machine)"
-
-        # Sharded replay must stitch to the exact serial stats even with
-        # deliberately tiny slices and warmup (forcing the boundary check
-        # and checkpoint-repair machinery on every generated program).
-        if len(fast.trace) >= 8:
-            from repro.sim.shard import simulate_sharded
-
-            stats_shard = simulate_sharded(
-                program, fast.trace, config, ext_defs=ext_defs,
-                jobs=1, slices=4, warmup=16,
-            )
-            assert vars(stats_shard) == vars(stats_fast), \
-                f"sharded SimStats diverged from serial ({label} machine)"
 
 
 def check_program(program: Program, n_pfus_choices=(1, 2, 4, None)) -> int:

@@ -57,7 +57,6 @@ class FleetController:
         *,
         workers: int = 2,
         cache_dir: str | None = None,
-        sim_jobs: int = 1,
         host: str = "127.0.0.1",
         max_queue: int = 128,
         spawn_timeout: float = 60.0,
@@ -65,7 +64,6 @@ class FleetController:
     ):
         self.workers = workers
         self.cache_dir = cache_dir
-        self.sim_jobs = sim_jobs
         self.host = host
         self.max_queue = max_queue
         self.spawn_timeout = spawn_timeout
@@ -89,8 +87,6 @@ class FleetController:
         ]
         if self.cache_dir:
             argv += ["--cache-dir", self.cache_dir]
-        if self.sim_jobs > 1:
-            argv += ["--sim-jobs", str(self.sim_jobs)]
         if self.debug_ops:
             argv += ["--debug-ops"]
         return argv

@@ -16,11 +16,8 @@ Examples::
 Experiment commands accept ``--jobs N`` (execute the experiment DAG on N
 worker processes), ``--cache-dir PATH`` (persist every pipeline artefact
 in a content-addressed store; a warm cache re-runs nothing), and
-``--no-cache`` (ignore any configured store).  ``--sim-jobs N``
-additionally shards each individual timing replay across N processes
-(:mod:`repro.sim.shard`) without changing any result or cache key.
-``T1000_JOBS``, ``T1000_SIM_JOBS`` and ``T1000_CACHE_DIR`` provide
-defaults for the flags.
+``--no-cache`` (ignore any configured store).  ``T1000_JOBS`` and
+``T1000_CACHE_DIR`` provide defaults for the flags.
 
 Every subcommand additionally accepts ``--trace-out FILE`` (record the
 run and write a Chrome trace-event file for ``chrome://tracing`` /
@@ -63,12 +60,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         help="disable the persistent artifact store for this invocation",
     )
     parser.add_argument(
-        "--sim-jobs", type=int,
-        default=int(os.environ.get("T1000_SIM_JOBS") or 1),
-        help="shard each timing replay across this many processes; "
-        "results are identical to serial (default 1 / $T1000_SIM_JOBS)",
-    )
-    parser.add_argument(
         "--engine-report", action="store_true",
         help="print the engine's job/cache/simulation summary to stderr",
     )
@@ -103,7 +94,6 @@ def _engine_from_args(args) -> ExperimentEngine:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
-        sim_jobs=args.sim_jobs,
     ))
 
 
@@ -264,12 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent artifact store shared by the workers "
         "(default $T1000_CACHE_DIR)",
     )
-    serve_p.add_argument(
-        "--sim-jobs", type=int,
-        default=int(os.environ.get("T1000_SIM_JOBS") or 1),
-        help="worker-side replay sharding: large traces in a batch are "
-        "split across this many processes (default 1 / $T1000_SIM_JOBS)",
-    )
     serve_p.add_argument("--debug-ops", action="store_true",
                          help=argparse.SUPPRESS)
 
@@ -301,11 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=os.environ.get("T1000_CACHE_DIR") or None,
         help="persistent artifact store shared by the fleet "
         "(default $T1000_CACHE_DIR)",
-    )
-    gw_run.add_argument(
-        "--sim-jobs", type=int,
-        default=int(os.environ.get("T1000_SIM_JOBS") or 1),
-        help="worker-side replay sharding per backend (default 1)",
     )
     gw_run.add_argument("--timeout-ms", type=int, default=30000,
                         help="default per-request deadline (default 30000)")
@@ -701,7 +680,6 @@ def _serve_command(args) -> int:
         worker_max_requests=args.worker_max_requests,
         cache_dir=cache_dir,
         debug_ops=args.debug_ops,
-        sim_jobs=args.sim_jobs,
     )
     serve_forever(config)
     return 0
@@ -745,8 +723,7 @@ def _gateway_run(args) -> int:
         cache_dir = (os.path.expanduser(args.cache_dir)
                      if args.cache_dir else None)
         fleet = FleetController(
-            workers=args.workers, cache_dir=cache_dir,
-            sim_jobs=args.sim_jobs, host=args.host,
+            workers=args.workers, cache_dir=cache_dir, host=args.host,
         )
         spawned = tuple(fleet.spawn() for _ in range(args.backends))
     config = GatewayConfig(

@@ -10,10 +10,7 @@ cache/job traffic.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import defaultdict
-
-from repro.obs.recorder import WALL
 
 _STALL_PREFIX = "sim.stall."
 _GROUP_LABELS = ("workload", "program")
@@ -51,17 +48,6 @@ def _group_of(labels: dict) -> str:
 
 def _algorithm_of(labels: dict) -> str:
     return str(labels.get("algorithm", "(none)"))
-
-
-def _union(intervals) -> list[tuple[float, float]]:
-    """Sorted, disjoint union of ``(start, end)`` intervals."""
-    out: list[tuple[float, float]] = []
-    for start, end in sorted(intervals):
-        if out and start <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], end))
-        else:
-            out.append((start, end))
-    return out
 
 
 def _fmt_count(n: float) -> str:
@@ -164,28 +150,21 @@ def render_metrics_report(datasets: list[dict], top: int = 6) -> str:
             )
 
     # ------------------------------------------------- timing-model time
-    # from spans: a pre-pass built inside a simulate call's wall-time
-    # window is that call's pre-pass time, the rest of the call is
-    # replay.  Containment is by time, not parentage: a sharded run's
-    # sim.timing span is added after the fact and parents nothing.
+    # from spans: a pre-pass span parented by a simulate call's span is
+    # that call's pre-pass time, the rest of the call is replay.
     runs = builds = 0
     timing_s = prepass_s = nested_s = 0.0
     for data in datasets:
         spans = data.get("spans", [])
-        timing = [s for s in spans if s.name == "sim.timing"]
+        timing = {s.span_id: s for s in spans if s.name == "sim.timing"}
         runs += len(timing)
-        timing_s += sum(s.duration for s in timing)
-        windows = _union(
-            (s.start, s.end) for s in timing if s.clock == WALL
-        )
-        starts = [w[0] for w in windows]
+        timing_s += sum(s.duration for s in timing.values())
         for sp in spans:
             if sp.name != "sim.timing.prepass":
                 continue
             builds += 1
             prepass_s += sp.duration
-            at = bisect_right(starts, sp.start) - 1
-            if sp.clock == WALL and at >= 0 and sp.end <= windows[at][1]:
+            if sp.parent_id in timing:
                 nested_s += sp.duration
     if runs or builds:
         lines.append("")
@@ -198,58 +177,6 @@ def render_metrics_report(datasets: list[dict], top: int = 6) -> str:
             f"  replay: {(timing_s - nested_s) * 1e3:,.1f} ms over "
             f"{_fmt_count(runs)} simulate call(s)"
         )
-
-    # ------------------------------------------------------- sharded replay
-    shard_counters: dict[str, float] = defaultdict(float)
-    shard_fallbacks: dict[str, float] = defaultdict(float)
-    shard_hists: dict[str, dict[str, float]] = defaultdict(
-        lambda: {"count": 0, "sum": 0}
-    )
-    for row in rows:
-        name = row["name"]
-        if not name.startswith("sim.shard."):
-            continue
-        if row["kind"] == "counter":
-            shard_counters[name] += row["value"]
-            if name == "sim.shard.fallback":
-                reason = str(row["labels"].get("reason", "(unknown)"))
-                shard_fallbacks[reason] += row["value"]
-        elif row["kind"] == "histogram":
-            shard_hists[name]["count"] += row.get("count", 0)
-            shard_hists[name]["sum"] += row.get("sum", 0)
-    if shard_counters or shard_hists:
-        runs = shard_counters.get("sim.shard.runs", 0)
-        slices = shard_counters.get("sim.shard.slices", 0)
-        repairs = shard_counters.get("sim.shard.repairs", 0)
-        lines.append("")
-        lines.append("sharded replay (parallel trace slices)")
-        lines.append(
-            f"  sharded runs: {_fmt_count(runs)}; "
-            f"slices replayed: {_fmt_count(slices)}"
-            + (f" ({slices / runs:.1f}/run)" if runs else "")
-        )
-        if repairs:
-            lines.append(
-                f"  checkpoint-seeded repairs: {_fmt_count(repairs)}"
-            )
-        stitch = shard_hists.get("sim.shard.stitch.ms")
-        if stitch and stitch["count"]:
-            lines.append(
-                f"  stitch overhead: {stitch['sum'] / stitch['count']:.2f} "
-                f"ms/run (boundary pass + verify + merge)"
-            )
-        warm = shard_hists.get("sim.shard.warmup.frac")
-        if warm and warm["count"]:
-            lines.append(
-                f"  warmup fraction: {warm['sum'] / warm['count']:.1%} "
-                f"of replayed instructions discarded as overlap"
-            )
-        if shard_fallbacks:
-            parts = ", ".join(
-                f"{reason}={_fmt_count(n)}"
-                for reason, n in sorted(shard_fallbacks.items())
-            )
-            lines.append(f"  serial fallbacks: {parts}")
 
     # ------------------------------------------------------- explore
     sweeps: dict[str, dict[str, float]] = defaultdict(dict)

@@ -82,13 +82,9 @@ class OpRunner:
     #: re-decoding across consecutive batches of the same sweep.
     BUNDLE_CACHE_ENTRIES = 8
 
-    def __init__(self, cache_dir: str | None = None, sim_jobs: int = 1):
+    def __init__(self, cache_dir: str | None = None):
         store = ArtifactStore(cache_dir) if cache_dir else None
-        self.pipeline = ArtifactPipeline(store=store, sim_jobs=sim_jobs)
-        # Sharding threshold logic lives in repro.sim.shard: small traces
-        # in a coalesced batch stay serial regardless, so passing jobs
-        # through unconditionally is safe.
-        self.sim_jobs = sim_jobs
+        self.pipeline = ArtifactPipeline(store=store)
         self._bundles: OrderedDict[str, Any] = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -350,8 +346,7 @@ class OpRunner:
             self._sim_counter("sim.timing")
             try:
                 sweep = simulate_many(program, trace, configs,
-                                      ext_defs=ext_defs,
-                                      jobs=self.sim_jobs)
+                                      ext_defs=ext_defs)
                 for indices, stats in zip(missed, sweep):
                     deliver(indices, stats)
             except (ReproError, AssertionError, ValueError) as poisoned:

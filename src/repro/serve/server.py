@@ -66,7 +66,6 @@ class ServeConfig:
     cache_dir: str | None = None       # workers' shared artifact store
     drain_grace: float = 30.0          # close(): max wait for in-flight
     debug_ops: bool = False            # _crash/_sleep test hooks
-    sim_jobs: int = 1                  # shard large replays per worker
     trace_cache_entries: int = 64      # digest-addressed bundle LRU
     trace_cache_bytes: int = 256 * 1024 * 1024
 
@@ -215,7 +214,6 @@ class ToolflowServer:
                 max_requests=self.config.worker_max_requests,
                 retries=self.config.worker_retries,
                 debug_ops=self.config.debug_ops,
-                sim_jobs=self.config.sim_jobs,
             ))
         for index, worker in enumerate(self._workers):
             thread = threading.Thread(

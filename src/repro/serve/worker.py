@@ -33,10 +33,6 @@ def main(argv: list[str] | None = None) -> int:
         "--debug-ops", action="store_true",
         help="enable the _crash/_sleep test hooks (never in production)",
     )
-    parser.add_argument(
-        "--sim-jobs", type=int, default=1,
-        help="shard large timing replays across this many processes",
-    )
     args = parser.parse_args(argv)
 
     # Claim the pipe fds, then divert normal stdout traffic to stderr.
@@ -45,7 +41,7 @@ def main(argv: list[str] | None = None) -> int:
     os.dup2(sys.stderr.fileno(), sys.stdout.fileno())
     sys.stdout = sys.stderr
 
-    runner = OpRunner(cache_dir=args.cache_dir, sim_jobs=args.sim_jobs)
+    runner = OpRunner(cache_dir=args.cache_dir)
     try:
         return _serve(args, runner, frames_in, frames_out)
     except BrokenPipeError:

@@ -43,14 +43,12 @@ class WorkerHandle:
     """One live worker subprocess."""
 
     def __init__(self, cache_dir: str | None = None,
-                 debug_ops: bool = False, sim_jobs: int = 1):
+                 debug_ops: bool = False):
         argv = [sys.executable, "-m", "repro.serve.worker"]
         if cache_dir:
             argv += ["--cache-dir", cache_dir]
         if debug_ops:
             argv += ["--debug-ops"]
-        if sim_jobs > 1:
-            argv += ["--sim-jobs", str(sim_jobs)]
         self.proc = subprocess.Popen(
             argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             stderr=None, env=_worker_env(),
@@ -118,13 +116,11 @@ class PooledWorker:
         max_requests: int = 500,
         retries: int = 1,
         debug_ops: bool = False,
-        sim_jobs: int = 1,
     ):
         self.cache_dir = cache_dir
         self.max_requests = max_requests
         self.retries = retries
         self.debug_ops = debug_ops
-        self.sim_jobs = sim_jobs
         self.crashes = 0
         self.recycles = 0
         self._lock = threading.Lock()
@@ -133,8 +129,7 @@ class PooledWorker:
 
     def _spawn(self) -> WorkerHandle:
         return WorkerHandle(cache_dir=self.cache_dir,
-                            debug_ops=self.debug_ops,
-                            sim_jobs=self.sim_jobs)
+                            debug_ops=self.debug_ops)
 
     @property
     def pid(self) -> int:

@@ -10,14 +10,13 @@ reconfiguration latency.
 
 from repro.sim.ooo.config import MachineConfig
 from repro.sim.ooo.pfu import PFUBank
-from repro.sim.ooo.pipeline import OoOSimulator, simulate_many, simulate_program
+from repro.sim.ooo.pipeline import OoOSimulator, simulate_many
 from repro.sim.ooo.stats import SimStats
 
 __all__ = [
     "MachineConfig",
     "OoOSimulator",
     "simulate_many",
-    "simulate_program",
     "SimStats",
     "PFUBank",
 ]

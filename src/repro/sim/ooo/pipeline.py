@@ -26,7 +26,6 @@ The simulated time is the commit cycle of the last instruction.
 from __future__ import annotations
 
 import os
-import warnings
 from contextlib import nullcontext
 from math import ceil
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -109,7 +108,7 @@ _FAST_LOOP_CACHE: dict[tuple, object] = {}
 
 def _fast_loop_source(
     has_mul: bool, has_div: bool, has_mem: bool, has_ext: bool,
-    obs_live: bool, record: bool, shard: bool = False,
+    obs_live: bool, record: bool,
 ) -> str:
     """Source of a replay loop specialized to one program/run shape.
 
@@ -123,14 +122,6 @@ def _fast_loop_source(
     contend on the integer ALUs additionally fuse the issue-width and
     ALU rings into one (their per-cycle counts are always equal). The
     numeric class literals below are the _C_* constants.
-
-    ``shard=True`` generates the slice-replay variant used by
-    :mod:`repro.sim.shard`: the loop takes a ``seed`` tuple of core
-    state (dispatch/commit bookkeeping, commit ring, register and store
-    readiness, divider busy cycle) instead of starting cold, and
-    returns that state tuple alongside the stats so a slice can be run
-    as warmup segment + kept segment with exact state continuity. The
-    serial specializations are byte-for-byte unchanged.
     """
     O = obs_live
     multi = has_mul or has_div or has_mem or has_ext
@@ -188,25 +179,18 @@ def _fast_loop_source(
     a(0, "           decode_width, issue_width, commit_width,")
     a(0, "           ruu_size, n_ialu, n_imult, n_memports, horizon, bank,")
     a(0, "           iss_s, iss_c, alu_s, alu_c, mul_s, mul_c, mem_s, mem_c,")
-    if shard:
-        a(0, "           pfu_s, rec_lo, rec_hi, timeline, seed):")
-    else:
-        a(0, "           pfu_s, rec_lo, rec_hi, timeline):")
+    a(0, "           pfu_s, rec_lo, rec_hi, timeline):")
     a(1, "mask = horizon - 1")
-    if shard:
-        a(1, "(disp_cycle, disp_n, commit_ring, reg_ready, store_ready,")
-        a(1, " div_free, commit_cycle, commit_n) = seed")
-    else:
-        a(1, "disp_cycle = 1")
-        a(1, "disp_n = 0")
-        a(1, "commit_ring = [0] * ruu_size")
-        if has_div:
-            a(1, "div_free = 0")
-        a(1, "reg_ready = [0] * 32")
-        if has_mem:
-            a(1, "store_ready = {}")
-        a(1, "commit_cycle = 1")
-        a(1, "commit_n = 0")
+    a(1, "disp_cycle = 1")
+    a(1, "disp_n = 0")
+    a(1, "commit_ring = [0] * ruu_size")
+    if has_div:
+        a(1, "div_free = 0")
+    a(1, "reg_ready = [0] * 32")
+    if has_mem:
+        a(1, "store_ready = {}")
+    a(1, "commit_cycle = 1")
+    a(1, "commit_n = 0")
     if not multi:
         a(1, "lim = issue_width if issue_width < n_ialu else n_ialu")
     if O:
@@ -452,22 +436,7 @@ def _fast_loop_source(
     if record:
         a(2, "if rec_lo <= k < rec_hi:")
         a(3, "timeline.append((indices[k], fcyc[k], d, t, complete, c))")
-    if shard:
-        # export the core state for the next segment / boundary check;
-        # the obs issue-width ring flush is left to the shard driver
-        # (the ring keeps live entries that the next segment continues)
-        a(1, "state = (disp_cycle, disp_n, commit_ring, reg_ready,")
-        a(1, "         store_ready, div_free, commit_cycle, commit_n)")
-        if O:
-            a(1, "return (commit_cycle,")
-            a(1, "        (st_disp_ruu, st_disp_width,")
-            a(1, "         st_issue_operands, st_issue_store_dep,"
-                 " st_issue_pfu,")
-            a(1, "         st_issue_div, st_issue_struct, st_commit_width),")
-            a(1, "        issue_widths, reconfigs, state)")
-        else:
-            a(1, "return (commit_cycle, None, None, None, state)")
-    elif O:
+    if O:
         a(1, "issue_widths.extend(w for w in iss_c if w)")
         a(1, "return (commit_cycle,")
         a(1, "        (st_disp_ruu, st_disp_width,")
@@ -481,10 +450,10 @@ def _fast_loop_source(
 
 def _fast_loop(
     has_mul: bool, has_div: bool, has_mem: bool, has_ext: bool,
-    obs_live: bool, record: bool, shard: bool = False,
+    obs_live: bool, record: bool,
 ):
     """Compile (and cache) the replay loop for one specialization."""
-    key = (has_mul, has_div, has_mem, has_ext, obs_live, record, shard)
+    key = (has_mul, has_div, has_mem, has_ext, obs_live, record)
     fn = _FAST_LOOP_CACHE.get(key)
     if fn is None:
         namespace: dict = {}
@@ -1206,7 +1175,6 @@ def simulate_many(
     configs: "Iterable[MachineConfig]",
     ext_defs: Mapping[int, "ExtInstDef"] | None = None,
     record_window: tuple[int, int] | None = None,
-    jobs: int = 1,
 ) -> list[SimStats]:
     """Replay one dynamic trace under many machine configurations.
 
@@ -1222,69 +1190,15 @@ def simulate_many(
     once, not once per configuration. Results are returned in
     configuration order and are bit-identical to running each
     configuration on its own simulator.
-
-    ``jobs > 1`` additionally shards each eligible replay into trace
-    slices and fans every (configuration, slice) pair into one process
-    pool (:mod:`repro.sim.shard`). Sharding is an execution strategy,
-    not a semantic knob: results are byte-identical to ``jobs=1``
-    (exactness is verified per boundary, with automatic serial fallback)
-    and short traces or ineligible configurations simply run serially.
     """
     # Accept any iterable (the explorer streams large grids); a lazy
     # source is drawn exactly once, here.
     if not isinstance(configs, (list, tuple)):
         configs = list(configs)
     order = _prepass_order(program, trace, configs)
-    grouped = [configs[i] for i in order]
-    if jobs > 1 and record_window is None:
-        from repro.sim.shard import simulate_many_sharded
-
-        results = simulate_many_sharded(
-            program, trace, grouped, ext_defs=ext_defs, jobs=jobs
-        )
-    else:
-        results = [
-            OoOSimulator(program, cfg, ext_defs=ext_defs).simulate(
-                trace, record_window
-            )
-            for cfg in grouped
-        ]
     out: list = [None] * len(configs)
-    for i, stats in zip(order, results):
-        out[i] = stats
+    for i in order:
+        sim = OoOSimulator(program, configs[i], ext_defs=ext_defs)
+        out[i] = sim.simulate(trace, record_window)
     return out
 
-
-def simulate_program(
-    program: Program,
-    config: MachineConfig | None = None,
-    ext_defs: Mapping[int, "ExtInstDef"] | None = None,
-    max_steps: int = 50_000_000,
-) -> SimStats:
-    """Functional-execute ``program`` then replay through the timing model.
-
-    .. deprecated::
-        Use :func:`repro.api.simulate` (the stable facade) instead.
-    """
-    warnings.warn(
-        "repro.sim.ooo.simulate_program is deprecated; "
-        "use repro.api.simulate(program=..., machine=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _simulate_program(program, config, ext_defs, max_steps)
-
-
-def _simulate_program(
-    program: Program,
-    config: MachineConfig | None = None,
-    ext_defs: Mapping[int, "ExtInstDef"] | None = None,
-    max_steps: int = 50_000_000,
-) -> SimStats:
-    from repro.sim.functional import FunctionalSimulator
-
-    result = FunctionalSimulator(program, ext_defs=ext_defs).run(
-        max_steps=max_steps, collect_trace=True
-    )
-    sim = OoOSimulator(program, config=config, ext_defs=ext_defs)
-    return sim.simulate(result.trace)

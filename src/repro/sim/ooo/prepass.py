@@ -7,8 +7,7 @@ and load/store addresses reach the caches in program order whatever the
 core parameters are. One walk over the trace therefore yields, for
 every dynamic instruction, its fetch cycle and (for loads) its memory
 latency, plus the final per-level cache statistics. The fast replay
-loop and :mod:`repro.sim.shard` consume these instead of modelling
-fetch and the caches themselves.
+loop consumes these instead of modelling fetch and the caches itself.
 
 The walk touches the hierarchy only at events — a fetch-line change, a
 load or a store — and serves most of them inline through a per-set

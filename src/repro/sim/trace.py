@@ -16,61 +16,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 
-def _column_from_bytes(typecode: str, raw: bytes) -> array:
-    """Rebuild a plain column array from legacy pickled
-    :class:`ColumnView` bytes (kept so payloads pickled by older
-    builds still unpickle)."""
-    column = array(typecode)
-    column.frombytes(raw)
-    return column
-
-
-class ColumnView:
-    """Zero-copy window over one columnar trace array.
-
-    Wraps a ``memoryview`` slice of the column, so building a view —
-    and re-slicing it — never copies the column data.  Supports the
-    read-only sequence protocol the replay loops use (``len``, index,
-    slice, iterate).  Pickling materialises the window as a
-    :mod:`repro.wire` single-column frame (the one unavoidable copy,
-    paid only at the process boundary — this is how ``sim.shard``
-    process-pool payloads ride the same binary framing as the serve
-    wire), so a worker process receives an ordinary array.
-    """
-
-    __slots__ = ("raw",)
-
-    def __init__(self, column, start: int | None = None,
-                 stop: int | None = None):
-        view = column if isinstance(column, memoryview) \
-            else memoryview(column)
-        self.raw = view if start is None else view[start:stop]
-
-    def __len__(self) -> int:
-        return len(self.raw)
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return ColumnView(self.raw[key])
-        return self.raw[key]
-
-    def __iter__(self):
-        return iter(self.raw)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ColumnView):
-            return self.raw == other.raw
-        return NotImplemented
-
-    def tolist(self) -> list[int]:
-        return self.raw.tolist()
-
-    def __reduce__(self):
-        from repro import wire
-
-        return wire.column_from_bytes, (wire.column_to_bytes(self),)
-
-
 @dataclass
 class DynTrace:
     """A dynamic execution trace.
@@ -94,20 +39,6 @@ class DynTrace:
         return {
             k: v for k, v in self.__dict__.items() if not k.startswith("_")
         }
-
-    def column_views(self, start: int, stop: int
-                     ) -> "tuple[ColumnView, ColumnView]":
-        """Zero-copy ``(indices, addrs)`` views of ``[start, stop)``.
-
-        The sharded-replay planner slices a trace into K overlapping
-        windows; with a million-instruction trace, copying the two
-        columns per slice dominated planning cost.  These views share
-        the trace's buffers (no copy) and only materialise when
-        pickled to a worker process."""
-        return (
-            ColumnView(self.indices, start, stop),
-            ColumnView(self.addrs, start, stop),
-        )
 
     def append(self, static_index: int, addr: int = -1) -> None:
         self.indices.append(static_index)

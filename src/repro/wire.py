@@ -16,10 +16,9 @@ path (see ``docs/serving.md``, "Binary frames"):
   of the encoded bytes), so a cache entry is self-certifying: the
   server re-hashes an uploaded bundle before trusting its digest.
 
-The module deliberately depends on nothing above :mod:`repro.errors`:
-``sim.trace`` uses it for :class:`ColumnView` pickling (which is how
-``sim.shard`` pool payloads ride it) and :mod:`repro.serve.protocol`
-re-exports it for the network path, without an import cycle.
+The module deliberately depends on nothing above :mod:`repro.errors`,
+so :mod:`repro.serve.protocol` can re-export it for the network path
+without an import cycle.
 
 Byte order is little-endian canonical.  On a big-endian host the
 encoder byteswaps into a copy and the decoder swaps back after
@@ -51,8 +50,6 @@ __all__ = [
     "DEFAULT_MAX_STEPS",
     "column_chunks",
     "decode_columns",
-    "column_to_bytes",
-    "column_from_bytes",
     "trace_chunks",
     "trace_from_bytes",
     "SimulateBundle",
@@ -97,10 +94,8 @@ class FrameError(ReproError):
 def _column_buffer(column: Any) -> memoryview:
     """A typed ``memoryview`` of one column (zero-copy).
 
-    Accepts a plain :class:`array.array`, a ``memoryview``, or anything
-    exposing a typed view via a ``raw`` attribute (``ColumnView``)."""
-    raw = getattr(column, "raw", column)
-    view = raw if isinstance(raw, memoryview) else memoryview(raw)
+    Accepts a plain :class:`array.array` or a ``memoryview``."""
+    view = column if isinstance(column, memoryview) else memoryview(column)
     if view.format not in _COLUMN_TYPECODES:
         raise FrameError(
             f"cannot frame column of format {view.format!r} "
@@ -198,25 +193,6 @@ def decode_columns(buf) -> list[array]:
         offset += nbytes
         columns.append(column)
     return columns
-
-
-def column_to_bytes(column: Any) -> bytes:
-    """One column as a self-contained frame (the pickle-reduction path
-    for :class:`~repro.sim.trace.ColumnView` — one copy, at the process
-    boundary, exactly as before)."""
-    return b"".join(bytes(c) if not isinstance(c, bytes) else c
-                    for c in column_chunks(column))
-
-
-def column_from_bytes(buf) -> array:
-    """Inverse of :func:`column_to_bytes` (module-level so pool worker
-    processes can unpickle :class:`ColumnView` payloads)."""
-    columns = decode_columns(buf)
-    if len(columns) != 1:
-        raise FrameError(
-            f"expected a single-column frame, got {len(columns)}"
-        )
-    return columns[0]
 
 
 def trace_chunks(trace) -> list:

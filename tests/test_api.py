@@ -1,5 +1,5 @@
 """The ``repro.api`` facade: the five-function toolflow, lazy re-export
-from the package root, and the deprecation shims on old entry points."""
+from the package root, and the in-repo deprecation-warning canary."""
 
 import warnings
 
@@ -203,13 +203,6 @@ class TestToolflow:
 
 
 class TestDeprecationShims:
-    def test_simulate_program_warns_and_works(self, program):
-        from repro.sim.ooo import simulate_program
-
-        with pytest.warns(DeprecationWarning, match="repro.api.simulate"):
-            stats = simulate_program(program)
-        assert stats.cycles == api.simulate(program=program).cycles
-
     def test_internal_code_never_hits_the_shims(self, program, recwarn):
         """The facade and the engine route around deprecated entry points
         (the pytest filter turns in-repo DeprecationWarnings into errors,

@@ -3,10 +3,11 @@ cycle counts can be reasoned about by hand."""
 
 import pytest
 
+from repro import api
 from repro.asm import assemble
 from repro.errors import SimulationError
 from repro.sim.functional import FunctionalSimulator
-from repro.sim.ooo import MachineConfig, OoOSimulator, simulate_program
+from repro.sim.ooo import MachineConfig, OoOSimulator
 from repro.sim.trace import DynTrace
 
 
@@ -132,10 +133,9 @@ class TestStatsObject:
             OoOSimulator(program).simulate(DynTrace())
 
 
-class TestSimulateProgramHelper:
-    def test_end_to_end_and_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.simulate"):
-            stats = simulate_program(
-                assemble(loop(["addu $t1, $t1, $t2"], n=50))
-            )
+class TestEndToEnd:
+    def test_api_simulate_counts_every_instruction(self):
+        stats = api.simulate(
+            program=assemble(loop(["addu $t1, $t1, $t2"], n=50))
+        )
         assert stats.instructions == 50 * 3 + 2

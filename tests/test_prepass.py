@@ -31,7 +31,6 @@ from repro.sim.cache import (
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.ooo import MachineConfig, OoOSimulator, simulate_many
 from repro.sim.ooo import pipeline
-from repro.sim.shard import simulate_sharded
 from repro.sim.ooo.prepass import (
     EV_CTRL, EV_LOAD, EV_NONE, EV_STORE, LEVELS, Prepass, build_prepass,
 )
@@ -280,8 +279,8 @@ def test_prepass_span_under_timing_span():
 
 
 def test_metrics_report_splits_prepass_from_replay(tmp_path):
-    """Serial and sharded runs both count their pre-pass once: as
-    pre-pass time, never again as replay time."""
+    """A run counts its pre-pass once: as pre-pass time, never again
+    as replay time."""
     program = assemble(loop_program(
         ["lw $t0, 0($sp)", "addu $t1, $t1, $t0", "sw $t1, 4($sp)"],
         iterations=400))
@@ -289,22 +288,15 @@ def test_metrics_report_splits_prepass_from_replay(tmp_path):
     with observed() as rec:
         OoOSimulator(program).simulate(
             DynTrace(indices=trace.indices, addrs=trace.addrs))
-        simulate_sharded(
-            program, DynTrace(indices=trace.indices, addrs=trace.addrs),
-            jobs=1, slices=4, warmup=64)
     timing = [s for s in rec.spans if s.name == "sim.timing"]
     prepass = [s for s in rec.spans if s.name == "sim.timing.prepass"]
-    assert len(timing) == 2 and len(prepass) == 2
-    # the sharded run's sim.timing span parents nothing
-    assert prepass[1].parent_id not in {s.span_id for s in timing}
-    for pre in prepass:
-        assert any(t.start <= pre.start and pre.end <= t.end for t in timing)
+    assert len(timing) == 1 and len(prepass) == 1
     path = str(tmp_path / "m.jsonl")
     export_jsonl(rec, path)
     text = render_metrics_report([load_jsonl(path)])
     prepass_s = sum(s.duration for s in prepass)
     prepass_ms = prepass_s * 1e3
     replay_ms = (sum(s.duration for s in timing) - prepass_s) * 1e3
-    assert f"fetch/cache pre-pass: {prepass_ms:,.1f} ms over 2 build(s)" \
+    assert f"fetch/cache pre-pass: {prepass_ms:,.1f} ms over 1 build(s)" \
         in text
-    assert f"replay: {replay_ms:,.1f} ms over 2 simulate call(s)" in text
+    assert f"replay: {replay_ms:,.1f} ms over 1 simulate call(s)" in text

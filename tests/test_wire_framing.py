@@ -8,7 +8,6 @@ side, and seeded fuzz round trips through
 """
 
 import array
-import pickle
 import random
 
 import pytest
@@ -121,15 +120,6 @@ class TestTraceFrames:
                          wire.column_chunks(array.array("i", [1])))
         with pytest.raises(wire.FrameError, match="2 columns"):
             wire.trace_from_bytes(frame)
-
-    def test_column_view_pickles_through_the_framing(self):
-        # Shard pool payloads ride the same codec: a pickled slice view
-        # reconstructs byte-identically without dragging its parent.
-        trace = _trace([(i, 100 + i) for i in range(64)])
-        view, _ = trace.column_views(8, 40)
-        clone = pickle.loads(pickle.dumps(view))
-        assert clone.tobytes() == bytes(view.raw)
-        assert clone.tolist() == view.tolist()
 
 
 class TestBundles:
