@@ -52,7 +52,7 @@ from repro.obs import get_recorder
 from repro.extinst.serialize import selection_from_json, selection_to_json
 from repro.profiling import ProgramProfile, profile_program
 from repro.program.program import Program
-from repro.sim.functional import FunctionalSimulator
+from repro.sim.functional import ExecutionResult, FunctionalSimulator
 from repro.sim.ooo import MachineConfig, OoOSimulator, SimStats
 from repro.sim.trace import DynTrace
 from repro.workloads import Workload, build_workload
@@ -198,6 +198,9 @@ class ArtifactPipeline:
         if store is not None and store.telemetry is not self.telemetry:
             store.telemetry = self.telemetry
         self._memo: dict[tuple, Any] = {}
+        # traces of validation runs, keyed by rewrite memo key, until
+        # the trace stage takes them
+        self._validated: dict[tuple, DynTrace] = {}
 
     # ------------------------------------------------------------------
     # memo / store plumbing
@@ -247,6 +250,22 @@ class ArtifactPipeline:
             ("fingerprint", name, scale),
             lambda: program_fingerprint(self.program(name, scale)),
         )
+
+    def original_run(self, name: str, scale: int) -> ExecutionResult:
+        """The original program's traced functional run (memo only).
+
+        One run serves the baseline trace artefact and every rewrite's
+        validation, so a cold pipeline runs each program once.
+        """
+
+        def compute() -> ExecutionResult:
+            self._sim_counter("sim.functional")
+            with _scoped(workload=name, algorithm=BASELINE):
+                return FunctionalSimulator(self.program(name, scale)).run(
+                    collect_trace=True
+                )
+
+        return self._memoized(("run", name, scale), compute)
 
     # ------------------------------------------------------------------
     # cached artefact stages
@@ -300,23 +319,32 @@ class ArtifactPipeline:
         self, name: str, scale: int, algorithm: str,
         select_pfus: int | None, validate: bool,
     ) -> tuple[Program, dict[int, ExtInstDef]]:
+        """The rewritten program and its definitions.
+
+        Validation compares against :meth:`original_run` and leaves the
+        rewritten program's traced run for :meth:`trace` to take.
+        """
         select_pfus = normalize_select_pfus(algorithm, select_pfus)
+        memo_key = ("rewrite", name, scale, algorithm, select_pfus, validate)
 
         def compute() -> tuple[Program, dict[int, ExtInstDef]]:
             selection = self.selection(name, scale, algorithm, select_pfus)
+            reference = self.original_run(name, scale) if validate else None
             with _scoped(workload=name, algorithm=algorithm):
                 program, defs = apply_selection(
                     self.program(name, scale), selection
                 )
                 if validate:
                     self._sim_counter("sim.validate")
-                    validate_equivalence(
-                        self.program(name, scale), program, defs
+                    run = validate_equivalence(
+                        self.program(name, scale), program, defs,
+                        reference=reference, collect_trace=True,
                     )
+                    self._validated[memo_key] = run.trace
             return program, defs
 
         return self._artifact(
-            ("rewrite", name, scale, algorithm, select_pfus, validate),
+            memo_key,
             dict(kind="rewrite", workload=name, scale=scale,
                  fingerprint=self.fingerprint(name, scale),
                  algorithm=algorithm, select_pfus=select_pfus,
@@ -340,11 +368,13 @@ class ArtifactPipeline:
 
         def compute() -> DynTrace:
             if algorithm == BASELINE:
-                program, defs = self.program(name, scale), None
-            else:
-                program, defs = self.rewrite(
-                    name, scale, algorithm, select_pfus, validate
-                )
+                return self.original_run(name, scale).trace
+            program, defs = self.rewrite(
+                name, scale, algorithm, select_pfus, validate
+            )
+            validated = self._validated.pop(("rewrite",) + memo_key[1:], None)
+            if validated is not None:
+                return validated
             self._sim_counter("sim.functional")
             with _scoped(workload=name, algorithm=algorithm):
                 result = FunctionalSimulator(program, ext_defs=defs).run(

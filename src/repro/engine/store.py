@@ -305,9 +305,11 @@ class StoreStats:
         lines.append(
             f"hits: {self.hits}  misses: {self.misses}  puts: {self.puts}"
         )
+        # a validation run is a functional run too
+        functional = (self.counters.get("sim.functional", 0)
+                      + self.counters.get("sim.validate", 0))
         lines.append(
-            "simulations: "
-            f"functional={self.counters.get('sim.functional', 0)} "
+            f"simulations: functional={functional} "
             f"timing={self.counters.get('sim.timing', 0)}"
         )
         return "\n".join(lines)

@@ -142,9 +142,11 @@ class Telemetry:
                     f" miss(es)"
                 )
         sims = self.total("sim")
+        # a validation run is a functional run too
+        functional = self.total("sim.functional") + self.total("sim.validate")
         lines.append(
             f"  simulations: {sims} "
-            f"(functional={self.counters.get('sim.functional', 0)}, "
+            f"(functional={functional}, "
             f"timing={self.counters.get('sim.timing', 0)})"
         )
         slowest = sorted(self.jobs, key=lambda j: -j.wall_time)[:5]

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.errors import ExtInstError
+from repro.errors import ExtInstError, SimulationError
 from repro.extinst.extdef import ExtInstDef
 from repro.program.program import Program
-from repro.sim.functional import FunctionalSimulator
+from repro.sim.functional import ExecutionResult, FunctionalSimulator
 from repro.sim.memory import PAGE_BITS
 
 _V0, _V1 = 2, 3
@@ -50,10 +50,29 @@ def validate_equivalence(
     rewritten: Program,
     ext_defs: Mapping[int, ExtInstDef],
     max_steps: int = 50_000_000,
-) -> None:
-    """Run both programs; raise :class:`ExtInstError` on any divergence."""
-    res_a = FunctionalSimulator(original).run(max_steps=max_steps)
-    res_b = FunctionalSimulator(rewritten, ext_defs=ext_defs).run(max_steps=max_steps)
+    *,
+    reference: ExecutionResult | None = None,
+    collect_trace: bool = False,
+) -> ExecutionResult:
+    """Run both programs; raise :class:`ExtInstError` on any divergence.
+
+    ``reference`` is a finished run of ``original`` (the same
+    :class:`Program` object) to compare against instead of running it
+    again; it must fit in ``max_steps`` like a fresh run would. Returns
+    the rewritten program's run, carrying its dynamic trace when
+    ``collect_trace`` is set.
+    """
+    if reference is None:
+        res_a = FunctionalSimulator(original).run(max_steps=max_steps)
+    elif reference.program is not original:
+        raise ValueError("reference is not a run of the original program")
+    elif reference.steps > max_steps:
+        raise SimulationError(f"program did not halt within {max_steps} steps")
+    else:
+        res_a = reference
+    res_b = FunctionalSimulator(rewritten, ext_defs=ext_defs).run(
+        max_steps=max_steps, collect_trace=collect_trace
+    )
 
     if not (res_a.halted and res_b.halted):
         raise ExtInstError("one of the programs did not halt cleanly")
@@ -96,6 +115,7 @@ def validate_equivalence(
                 f"stack word at {(page << PAGE_BITS) + off:#x} differs: "
                 f"{wa:#x} vs {wb:#x}"
             )
+    return res_b
 
 
 def dynamic_instruction_reduction(

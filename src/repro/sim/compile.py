@@ -19,17 +19,20 @@ partitioned into basic blocks and each block is compiled — threaded-code
 The compiled path is semantics-preserving by construction and verified
 bit-identical by differential tests (``tests/test_fastpath.py`` and the
 :mod:`repro.fuzz` property campaign). ``ext`` instructions compile to a
-call of their definition's :meth:`evaluate` (the per-run ``ext_defs``
-table is passed into every block function, so the per-program code cache
-stays valid across simulators with different definitions). Anything the
-compiler does not handle falls back to the reference single-step
-interpreter: dynamic jumps landing mid-block and the last instructions
-before a ``max_steps`` budget expires. Profiling runs (``profile=True``) use a
-separately compiled block variant that counts one increment per *block*
-execution (scattered to per-instruction ``exec_counts`` afterwards) and
-inlines the bitwidth-maxima updates exactly where the reference loop
-performs them. ``REPRO_SIM_REFERENCE=1`` forces the reference loop
-everywhere (see docs/simulator.md, "Fast path").
+call of their definition's straight-line evaluator
+(:func:`compile_ext`, built from the same expression templates and
+cached by the definition's structural key); the per-run ``{conf:
+evaluator}`` table is passed into every block function, so the
+per-program code cache stays valid across simulators with different
+definitions. Anything the compiler does not handle falls back to the
+reference single-step interpreter: dynamic jumps landing mid-block and
+the last instructions before a ``max_steps`` budget expires. Profiling
+runs (``profile=True``) use a separately compiled block variant that
+counts one increment per *block* execution (scattered to
+per-instruction ``exec_counts`` afterwards) and inlines the
+bitwidth-maxima updates exactly where the reference loop performs them.
+``REPRO_SIM_REFERENCE=1`` forces the reference loop everywhere (see
+docs/simulator.md, "Fast path").
 
 Compiled code is cached on the :class:`Program` instance, keyed by the
 identity and length of its text list; programs are treated as immutable
@@ -39,7 +42,8 @@ rather than mutating in place).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import SimulationError
 from repro.isa.encoding import TEXT_BASE
@@ -49,6 +53,7 @@ from repro.program.program import Program
 from repro.utils.bitops import effective_width, to_u32
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.extinst.extdef import ExtInstDef
     from repro.sim.functional import FunctionalSimulator
 
 _M = 4294967295          # 32-bit mask literal inlined into generated code
@@ -129,6 +134,68 @@ def _signed(expr: str) -> str:
     return f"((({expr}) ^ 2147483648) - 2147483648)"
 
 
+def _literal(value: int) -> tuple[str, str]:
+    """Unsigned and signed source text of a ``[0, 2**32)`` constant."""
+    signed = value - 0x1_0000_0000 if value & 0x8000_0000 else value
+    return repr(value), repr(signed)
+
+
+def _alu_expr(op: Opcode, operands: dict[str, str],
+              consts: dict[str, object]) -> str | None:
+    """Source of ALU ``op`` over ``operands`` (an ``_EXPR`` fill-in):
+    the inline template, else a call of the ``_EVAL`` function bound into
+    ``consts``, else None (no semantics)."""
+    template = _EXPR.get(op)
+    if template is not None:
+        return template.format(**operands)
+    fn = _EVAL.get(op)
+    if fn is None:
+        return None
+    name = f"F_{op.name}"
+    consts[name] = fn
+    return f"{name}({operands['a']}, {operands['b']})"
+
+
+def compile_ext(ext: "ExtInstDef") -> Callable[..., int]:
+    """The straight-line evaluator of a PFU configuration.
+
+    Equal to :meth:`ExtInstDef.evaluate` on ``[0, 2**32)`` inputs, which
+    stays the oracle (the reference loop and single steps call it).
+    Cached by :attr:`ExtInstDef.key` at module level, never on the
+    definition: definitions are pickled into store artefacts and wire
+    payloads.
+    """
+    return _compile_ext_key(ext.key)
+
+
+@lru_cache(maxsize=4096)
+def _compile_ext_key(key: tuple) -> Callable[..., int]:
+    """Compile one definition from its structural key alone, so equal
+    keys always share code: ``(op value, a ref, b ref)`` per node in
+    topological order, then the input count."""
+    consts: dict[str, object] = {}
+    lines = []
+    for j, (op_value, *refs) in enumerate(key[:-1]):
+        operands = {}
+        for slot, ref in zip("ab", refs):
+            kind = ref[0]
+            if kind == "imm":
+                operands[slot], operands["s" + slot] = _literal(
+                    ref[1] & 4294967295
+                )
+            elif kind == "zero":
+                operands[slot] = operands["s" + slot] = "0"
+            else:
+                expr = f"i{ref[1]}" if kind == "in" else f"v{ref[1]}"
+                operands[slot] = expr
+                operands["s" + slot] = _signed(expr)
+        lines.append(f"v{j} = {_alu_expr(Opcode(op_value), operands, consts)}")
+    lines.append(f"return v{len(key) - 2}")
+    source = "def E(i0, i1=0, i2=0, i3=0):\n    " + "\n    ".join(lines) + "\n"
+    exec(compile(source, "<t1000-ext>", "exec"), consts)  # noqa: S102
+    return consts["E"]
+
+
 class CompiledProgram:
     """The compiled form of one program's text segment.
 
@@ -185,10 +252,7 @@ class _BlockCodegen:
         out = {}
         for key, operand in (("a", a), ("b", b)):
             if isinstance(operand, tuple):
-                value = operand[1]
-                out[key] = repr(value)
-                signed = value - 0x1_0000_0000 if value & 0x8000_0000 else value
-                out["s" + key] = repr(signed)
+                out[key], out["s" + key] = _literal(operand[1])
             else:
                 expr = self._read(operand)
                 out[key] = expr
@@ -245,16 +309,9 @@ class _BlockCodegen:
                 dst = instr.rd
                 a_op, b_op = instr.rs, ("imm", instr.imm or 0)
             operands = self._alu_operands(op, a_op, b_op)
-            template = _EXPR.get(op)
-            if template is None:
-                fn = _EVAL.get(op)
-                if fn is None:
-                    return False
-                name = f"F_{op.name}"
-                self.consts[name] = fn
-                expr = f"{name}({operands['a']}, {operands['b']})"
-            else:
-                expr = template.format(**operands)
+            expr = _alu_expr(op, operands, self.consts)
+            if expr is None:
+                return False
             if self.profile:
                 # operand widths are read pre-execution: the write below
                 # may clobber a source local when dst aliases an operand
@@ -342,8 +399,9 @@ class _BlockCodegen:
                 )
             target = self._write(instr.rd)
             if target is None:
-                # evaluate() is still called for a $zero dst, like the
-                # reference loop (it may raise; discarding is not eliding)
+                # the evaluator is still called for a $zero dst, like
+                # the reference loop (it may raise; discarding is not
+                # eliding)
                 target = f"a{self.tmp}"
                 self.tmp += 1
             self.lines.append(f"{target} = {name}({a}, {b})")
@@ -398,7 +456,7 @@ class _BlockCodegen:
             self.lines.append(f"return {self.end}")
         prologue = [f"r{reg} = regs[{reg}]" for reg in self.loads]
         prologue += [
-            f"{name} = xe[{conf}].evaluate"
+            f"{name} = xe[{conf}]"
             for conf, name in sorted(self.ext_locals.items())
         ]
         body = prologue + self.lines
@@ -525,7 +583,7 @@ def run_compiled(
     trace = DynTrace() if collect_trace else None
     ti = trace.indices.extend if trace is not None else None
     ta = trace.addrs.extend if trace is not None else None
-    xe = sim.ext_defs
+    xe = {conf: compile_ext(ext) for conf, ext in sim.ext_defs.items()}
 
     counts = [0] * n if profile else None
     widths = BitwidthProfile.empty(n) if profile else None

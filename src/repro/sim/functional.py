@@ -108,9 +108,11 @@ class FunctionalSimulator:
 
     Args:
         program: the program to execute.
-        ext_defs: mapping of ``conf`` id -> extended-instruction definition
-            (anything with an ``evaluate(a, b) -> int`` method). Required
-            only if the program contains ``ext`` instructions.
+        ext_defs: mapping of ``conf`` id -> :class:`ExtInstDef`. Required
+            only if the program contains ``ext`` instructions. The
+            reference loop calls :meth:`ExtInstDef.evaluate`; the fast
+            path calls the definition's compiled evaluator
+            (:func:`repro.sim.compile.compile_ext`).
         memory: optionally a preconstructed memory (data image is loaded
             into it); a fresh one is created by default.
     """

@@ -5,11 +5,19 @@ simulations, and a parallel run produces byte-identical tables to a
 serial one.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.engine import EngineConfig, ExperimentEngine, make_spec
+import repro.engine.pipeline as pipeline_module
+from repro.engine import (
+    ArtifactPipeline, EngineConfig, ExperimentEngine, make_spec,
+)
+from repro.errors import ExtInstError
+from repro.explore import SweepSpec, run_sweep
 from repro.harness.cli import main
 from repro.harness.figures import fig2_greedy
+from repro.sim.functional import FunctionalSimulator
 from repro.utils.tables import format_table
 
 WORKLOAD = "epic"
@@ -69,6 +77,110 @@ class TestParallel:
         # simulations happened in workers, but the parent's report sees them
         assert engine.telemetry.total("sim") > 0
         assert "simulations:" in engine.report()
+
+
+@pytest.fixture
+def run_log(monkeypatch):
+    """Programs passed to every real :meth:`FunctionalSimulator.run`."""
+    calls = []
+    real_run = FunctionalSimulator.run
+
+    def counting_run(self, *args, **kwargs):
+        calls.append(self.program)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(FunctionalSimulator, "run", counting_run)
+    return calls
+
+
+class TestFunctionalRunCount:
+    """A cold pipeline runs each program once: one profiling run and one
+    traced run of the original, and per rewrite one validation run whose
+    trace becomes the rewrite's trace artefact."""
+
+    SPEC = {
+        "name": "run-count", "workloads": ["gsm_encode", "mpeg2_decode"],
+        "scale": 1, "mode": "grid", "prune": False,
+        "axes": {"algorithm": ["selective", "isegen"], "n_pfus": [2, None],
+                 "reconfig_latency": [10]},
+    }
+    #: 2 kernels x (profile + original + 4 validated rewrites)
+    COLD_RUNS = 12
+    #: 2 kernels x (profile + baseline trace + 4 x (original + rewritten
+    #: for validation + rewritten again for the trace)), before any reuse
+    UNSHARED_RUNS = 28
+
+    @staticmethod
+    def _counted(engine) -> int:
+        telemetry = engine.telemetry
+        return (telemetry.total("sim.functional")
+                + telemetry.total("sim.validate"))
+
+    def test_cold_serial_sweep_runs_each_program_once(self, tmp_path,
+                                                      run_log):
+        spec = SweepSpec.from_json(self.SPEC)
+        cold = make_engine(tmp_path, jobs=1)
+        run_sweep(spec, cold)
+        assert cold.store.stats().artifacts_by_kind["rewrite"] == 8
+        assert len(run_log) == self.COLD_RUNS
+        assert self._counted(cold) == self.COLD_RUNS
+
+        run_log.clear()
+        warm = make_engine(tmp_path, jobs=1)
+        run_sweep(spec, warm)
+        assert run_log == []
+        assert self._counted(warm) == 0
+
+    def test_parallel_sweep_never_runs_more_than_before(self, tmp_path):
+        engine = make_engine(tmp_path, jobs=2)
+        run_sweep(SweepSpec.from_json(self.SPEC), engine)
+        assert self.COLD_RUNS <= self._counted(engine) <= self.UNSHARED_RUNS
+
+
+def _flip_last_immediate(ext):
+    """``ext`` with the low bit of its last immediate flipped, or None."""
+    for j in reversed(range(len(ext.nodes))):
+        node = ext.nodes[j]
+        for slot in ("b", "a"):
+            ref = getattr(node, slot)
+            if ref[0] == "imm":
+                nodes = list(ext.nodes)
+                nodes[j] = dataclasses.replace(
+                    node, **{slot: ("imm", ref[1] ^ 1)}
+                )
+                return dataclasses.replace(ext, nodes=tuple(nodes))
+    return None
+
+
+class TestValidationReuse:
+    def test_corrupted_definition_fails_against_the_memoized_run(
+        self, monkeypatch, run_log
+    ):
+        """Reusing the original's run must not weaken validation: a
+        rewrite whose definition computes something else still fails."""
+        pipeline = ArtifactPipeline()
+        reference = pipeline.original_run("mpeg2_decode", 1)
+        pipeline.selection("mpeg2_decode", 1, "selective", 2)
+        real_apply = pipeline_module.apply_selection
+
+        def corrupting_apply(program, selection):
+            rewritten, defs = real_apply(program, selection)
+            for conf, ext in sorted(defs.items()):
+                bad = _flip_last_immediate(ext)
+                if bad is not None:
+                    return rewritten, {**defs, conf: bad}
+            raise AssertionError("no definition carries an immediate")
+
+        monkeypatch.setattr(
+            pipeline_module, "apply_selection", corrupting_apply
+        )
+        run_log.clear()
+        with pytest.raises(ExtInstError):
+            pipeline.rewrite("mpeg2_decode", 1, "selective", 2, True)
+        # only the rewritten program ran; the original's run was reused
+        assert len(run_log) == 1
+        assert run_log[0] is not reference.program
+        assert pipeline.original_run("mpeg2_decode", 1) is reference
 
 
 class TestCorruptionRecovery:

@@ -11,13 +11,20 @@ grow with the trace).
 """
 
 import dataclasses
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.asm import assemble
-from repro.engine import EngineConfig, ExperimentEngine
+from repro.engine import EngineConfig, ExperimentEngine, get_default_pipeline
+from repro.extinst.extdef import ExtInstDef, ExtOp, sequential_chain
 from repro.extinst.validate import memory_snapshot
 from repro.harness import figures
+from repro.isa.opcodes import Opcode
+from repro.isa.semantics import _EVAL
+from repro.sim.compile import _EXPR, compile_ext
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.ooo import MachineConfig, OoOSimulator
 from repro.workloads import WORKLOAD_NAMES, build_workload
@@ -55,6 +62,97 @@ class TestFunctionalEquivalence:
         program = build_workload(name).program
         fast, ref = _functional_results(program)
         _assert_results_equal(fast, ref)
+
+
+@pytest.mark.parametrize("algorithm", ["selective", "isegen"])
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+class TestRewrittenFunctionalEquivalence:
+    """Compiled blocks and compiled PFU evaluators vs the reference
+    interpreter and :meth:`ExtInstDef.evaluate`, on rewritten programs."""
+
+    def test_execution_result_identical(self, name, algorithm):
+        program, defs = get_default_pipeline().rewrite(
+            name, 1, algorithm, 2, True
+        )
+        assert defs, "the rewrite should fold something"
+        fast, ref = _functional_results(program, defs)
+        _assert_results_equal(fast, ref)
+        # the plain (non-profiling) block variant, as validation runs it
+        fast = FunctionalSimulator(
+            program, ext_defs=defs, compile_blocks=True
+        ).run(collect_trace=True)
+        assert (fast.steps, fast.regs) == (ref.steps, ref.regs)
+        assert memory_snapshot(fast.memory, include_stack=True) == \
+            memory_snapshot(ref.memory, include_stack=True)
+        assert fast.trace.indices == ref.trace.indices
+        assert fast.trace.addrs == ref.trace.addrs
+
+
+#: Every ALU opcode a PFU can compute, including the ones the block
+#: compiler has no inline template for (they call ``_EVAL``).
+ALU_OPS = sorted(_EVAL, key=lambda op: op.value)
+BOUNDARY = (0, 1, 31, 0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF)
+
+
+@st.composite
+def ext_defs(draw):
+    """Random PFU DAGs over 1 or 2 inputs using all four operand kinds."""
+    n_inputs = draw(st.integers(1, 2))
+    nodes = []
+    for j in range(draw(st.integers(1, 6))):
+        refs = [("in", k) for k in range(n_inputs)] + [("zero",)]
+        refs += [("node", k) for k in range(j)]
+        ref = st.one_of(
+            st.sampled_from(refs),
+            st.tuples(st.just("imm"), st.one_of(
+                st.sampled_from(BOUNDARY + (-1, -32768)),
+                st.integers(-(1 << 31), (1 << 32) - 1),
+            )),
+        )
+        nodes.append(ExtOp(draw(st.sampled_from(ALU_OPS)),
+                           draw(ref), draw(ref)))
+    return ExtInstDef(nodes=tuple(nodes), n_inputs=n_inputs)
+
+
+u32 = st.one_of(st.sampled_from(BOUNDARY),
+                st.integers(0, 0xFFFF_FFFF))
+
+
+class TestCompiledExtEvaluator:
+    """:func:`compile_ext` vs its oracle :meth:`ExtInstDef.evaluate`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ext_defs(), u32, u32)
+    def test_matches_evaluate_on_random_dags(self, ext, a, b):
+        assert compile_ext(ext)(a, b) == ext.evaluate(a, b)
+
+    def test_covers_opcodes_without_a_template(self):
+        assert set(ALU_OPS) - set(_EXPR), "fallback path would be untested"
+
+    @pytest.mark.parametrize("op", ALU_OPS, ids=lambda op: op.value)
+    def test_every_opcode_and_operand_kind_at_boundaries(self, op):
+        for imm in BOUNDARY + (-1,):
+            two = sequential_chain([
+                (op, ("in", 0), ("in", 1)),
+                (op, ("node", 0), ("imm", imm)),
+                (op, ("zero",), ("node", 1)),
+                (op, ("imm", imm), ("in", 0)),
+                (op, ("node", 3), ("node", 2)),
+            ])
+            one = sequential_chain([(op, ("in", 0), ("imm", imm))])
+            assert (two.n_inputs, one.n_inputs) == (2, 1)
+            for a in BOUNDARY:
+                assert compile_ext(one)(a) == one.evaluate(a)
+                for b in BOUNDARY:
+                    assert compile_ext(two)(a, b) == two.evaluate(a, b)
+                    assert compile_ext(one)(a, b) == one.evaluate(a, b)
+
+    def test_cached_by_structure_not_on_the_definition(self):
+        ext = sequential_chain([(Opcode.ADDU, ("in", 0), ("imm", 7))])
+        before = pickle.dumps(ext)
+        twin = dataclasses.replace(ext, name="twin", latency=3)
+        assert compile_ext(ext) is compile_ext(twin)
+        assert pickle.dumps(ext) == before
 
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.asm import assemble
-from repro.errors import ExtInstError
+from repro.errors import ExtInstError, SimulationError
 from repro.extinst import (
     apply_selection,
     greedy_select,
@@ -128,6 +128,50 @@ class TestValidateEquivalence:
         )
         with pytest.raises(ExtInstError):
             validate_equivalence(program, rewritten, bad_defs)
+
+    def test_reference_run_replaces_the_original_run(self):
+        program, (rewritten, defs), _ = rewrite_fig3()
+        reference = FunctionalSimulator(program).run()
+        run = validate_equivalence(program, rewritten, defs,
+                                   reference=reference, collect_trace=True)
+        fresh = FunctionalSimulator(rewritten, ext_defs=defs).run(
+            collect_trace=True
+        )
+        assert run.program is rewritten
+        assert (run.steps, run.regs) == (fresh.steps, fresh.regs)
+        assert run.trace.indices == fresh.trace.indices
+        assert run.trace.addrs == fresh.trace.addrs
+
+    def test_reference_must_be_a_run_of_the_same_program(self):
+        program, (rewritten, defs), _ = rewrite_fig3()
+        twin = FunctionalSimulator(assemble(FIG3)).run()
+        with pytest.raises(ValueError, match="original program"):
+            validate_equivalence(program, rewritten, defs, reference=twin)
+
+    def test_reference_must_fit_the_step_budget(self):
+        program, (rewritten, defs), _ = rewrite_fig3()
+        reference = FunctionalSimulator(program).run()
+        budget = reference.steps - 1
+        for ref in (None, reference):
+            with pytest.raises(SimulationError, match="did not halt"):
+                validate_equivalence(program, rewritten, defs,
+                                     max_steps=budget, reference=ref)
+        validate_equivalence(program, rewritten, defs,
+                             max_steps=reference.steps, reference=reference)
+
+    def test_detects_wrong_semantics_against_a_reference_run(self):
+        program, (rewritten, defs), _ = rewrite_fig3()
+        reference = FunctionalSimulator(program).run()
+        from repro.extinst.extdef import sequential_chain
+        from repro.isa.opcodes import Opcode as O
+
+        bad_defs = dict(defs)
+        bad_defs[next(iter(bad_defs))] = sequential_chain(
+            [(O.XOR, ("in", 0), ("imm", 123))]
+        )
+        with pytest.raises(ExtInstError):
+            validate_equivalence(program, rewritten, bad_defs,
+                                 reference=reference)
 
     def test_empty_selection_is_identity(self):
         program = assemble(FIG3)
