@@ -157,13 +157,16 @@ def check_simulators(program: Program, ext_defs=None) -> None:
     profile must all match), then replays the trace through the timing
     model with the dense-window fast path and the reference loop
     (``SimStats`` must match field-for-field), on the default machine and
-    on :func:`tiny_machine`. Raises ``AssertionError`` on any divergence.
+    on :func:`tiny_machine`. The same two machines also go through
+    ``simulate_many(..., jobs=2)``, which replays one of them in a forked
+    child where forking is safe. Raises ``AssertionError`` on any
+    divergence.
     """
     import dataclasses
 
     from repro.extinst.validate import memory_snapshot
     from repro.sim.functional import FunctionalSimulator
-    from repro.sim.ooo import MachineConfig, OoOSimulator
+    from repro.sim.ooo import MachineConfig, OoOSimulator, simulate_many
 
     fast = FunctionalSimulator(
         program, ext_defs=ext_defs, compile_blocks=True
@@ -184,10 +187,13 @@ def check_simulators(program: Program, ext_defs=None) -> None:
         ref.bitwidths.max_result_width, "result widths diverged"
     check_wire_framing(fast.trace)
 
-    for label, config in (
-        ("default", MachineConfig(n_pfus=2, reconfig_latency=10)),
-        ("tiny", tiny_machine()),
-    ):
+    machines = {
+        "default": MachineConfig(n_pfus=2, reconfig_latency=10),
+        "tiny": tiny_machine(),
+    }
+    grid = simulate_many(program, fast.trace, list(machines.values()),
+                         ext_defs=ext_defs, jobs=2)
+    for (label, config), stats_grid in zip(machines.items(), grid):
         stats_fast = OoOSimulator(
             program, config=config, ext_defs=ext_defs
         ).simulate(fast.trace)
@@ -197,6 +203,8 @@ def check_simulators(program: Program, ext_defs=None) -> None:
         ).simulate(fast.trace)
         assert vars(stats_fast) == vars(stats_slow), \
             f"SimStats diverged ({label} machine)"
+        assert vars(stats_grid) == vars(stats_fast), \
+            f"forked simulate_many diverged ({label} machine)"
 
 
 def check_program(program: Program, n_pfus_choices=(1, 2, 4, None)) -> int:

@@ -345,8 +345,10 @@ class OpRunner:
             configs = [machines[indices[0]] for indices in missed]
             self._sim_counter("sim.timing")
             try:
+                # serial: the worker pool is serve's parallelism, and a
+                # forked child must not outlive a killed worker
                 sweep = simulate_many(program, trace, configs,
-                                      ext_defs=ext_defs)
+                                      ext_defs=ext_defs, jobs=1)
                 for indices, stats in zip(missed, sweep):
                     deliver(indices, stats)
             except (ReproError, AssertionError, ValueError) as poisoned:

@@ -37,6 +37,7 @@ from repro.isa.opcodes import OpClass, Opcode
 from repro.program.program import Program
 from repro.sim.cache.hierarchy import MemoryHierarchy
 from repro.sim.ooo.branchpred import BimodalPredictor, is_conditional
+from repro.sim.ooo import parallel
 from repro.sim.ooo.config import MachineConfig
 from repro.sim.ooo.pfu import PFUBank
 from repro.sim.ooo.prepass import (
@@ -1157,16 +1158,16 @@ def _prepass_key(trace: DynTrace, program: Program,
     )
 
 
-def _prepass_order(
+def _prepass_groups(
     program: Program, trace: DynTrace, configs: "list[MachineConfig]"
-) -> list[int]:
+) -> dict[tuple, list[int]]:
     """Indices of ``configs`` grouped by pre-pass key in first-appearance
     order, so the trace's one-slot pre-pass cache builds each distinct
     pre-pass once."""
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(configs):
         groups.setdefault(_prepass_key(trace, program, cfg), []).append(i)
-    return [i for group in groups.values() for i in group]
+    return groups
 
 
 def simulate_many(
@@ -1175,6 +1176,7 @@ def simulate_many(
     configs: "Iterable[MachineConfig]",
     ext_defs: Mapping[int, "ExtInstDef"] | None = None,
     record_window: tuple[int, int] | None = None,
+    jobs: int | None = None,
 ) -> list[SimStats]:
     """Replay one dynamic trace under many machine configurations.
 
@@ -1187,18 +1189,53 @@ def simulate_many(
     pre-pass key, so an interleaved grid still builds each distinct
     pre-pass once. A reconfiguration-latency or PFU-count sweep
     therefore pays the per-dynamic-instruction cache/fetch/decode work
-    once, not once per configuration. Results are returned in
-    configuration order and are bit-identical to running each
-    configuration on its own simulator.
+    once, not once per configuration.
+
+    Several configurations are split across forked processes
+    (:mod:`repro.sim.ooo.parallel`): contiguous slices of that grouping,
+    balanced by replays and pre-pass builds, one per usable core.
+    ``jobs=None`` forks only when the work clears
+    :data:`~repro.sim.ooo.parallel.WORK_FLOOR`; ``jobs=N`` caps the
+    processes at N (``jobs=1`` is serial). Forking never happens off the
+    main thread, with other threads alive, inside a ``multiprocessing``
+    child, or with a live :mod:`repro.obs` recorder. Results are
+    returned in configuration order and are bit-identical to running
+    each configuration on its own simulator; an error is the one serial
+    replay raises.
     """
     # Accept any iterable (the explorer streams large grids); a lazy
     # source is drawn exactly once, here.
     if not isinstance(configs, (list, tuple)):
         configs = list(configs)
-    order = _prepass_order(program, trace, configs)
-    out: list = [None] * len(configs)
-    for i in order:
-        sim = OoOSimulator(program, configs[i], ext_defs=ext_defs)
-        out[i] = sim.simulate(trace, record_window)
-    return out
+    groups = list(_prepass_groups(program, trace, configs).items())
+    order = [i for _, group in groups for i in group]
 
+    def run(indices: list[int]) -> list[SimStats]:
+        return [
+            OoOSimulator(program, configs[i], ext_defs=ext_defs).simulate(
+                trace, record_window)
+            for i in indices
+        ]
+
+    procs = parallel.worker_count(jobs, len(configs),
+                                  len(trace) * len(configs))
+    if procs == 1:
+        stats = run(order)
+    else:
+        labels = [g for g, (_, group) in enumerate(groups) for _ in group]
+        # the key alone: holding the cached entry would keep its arrays
+        # alive after the parent's shard replaces it
+        cached_key = getattr(trace, _PREPASS_ATTR, (None,))[0]
+        free = next((g for g, (key, _) in enumerate(groups)
+                     if key == cached_key), None)
+        shards = [order[a:b]
+                  for a, b in parallel.split_grid(labels, free, procs)]
+        # children inherit the replay table copy-on-write
+        first = OoOSimulator(program, configs[order[0]], ext_defs=ext_defs)
+        if first._fast_eligible():
+            first._replay_tab(trace)
+        stats = [s for part in parallel.run_forked(shards, run) for s in part]
+    out: list = [None] * len(configs)
+    for i, s in zip(order, stats):
+        out[i] = s
+    return out
