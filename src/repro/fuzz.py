@@ -149,6 +149,17 @@ def tiny_machine():
     return MachineConfig(n_pfus=2, reconfig_latency=10, hierarchy=hierarchy)
 
 
+def narrow_machine():
+    """The default machine with 2 integer ALUs, 1 memory port and a
+    48-entry RUU: the fast replay loop keeps its ALU and memory rings
+    (their limits are below the issue width, see
+    :func:`repro.sim.ooo.pipeline._loop_shape`) and takes RUU slots
+    modulo a non-power of two."""
+    from repro.sim.ooo import MachineConfig
+
+    return MachineConfig(n_ialu=2, n_memports=1, ruu_size=48)
+
+
 def check_simulators(program: Program, ext_defs=None) -> None:
     """Differentially check the fast simulation paths on ``program``.
 
@@ -156,11 +167,11 @@ def check_simulators(program: Program, ext_defs=None) -> None:
     interpreter (architectural state, trace, execution counts, bitwidth
     profile must all match), then replays the trace through the timing
     model with the dense-window fast path and the reference loop
-    (``SimStats`` must match field-for-field), on the default machine and
-    on :func:`tiny_machine`. The same two machines also go through
-    ``simulate_many(..., jobs=2)``, which replays one of them in a forked
-    child where forking is safe. Raises ``AssertionError`` on any
-    divergence.
+    (``SimStats`` must match field-for-field), on the default machine,
+    on :func:`tiny_machine` and on :func:`narrow_machine`. The same
+    machines also go through ``simulate_many(..., jobs=2)``, which
+    replays some of them in a forked child where forking is safe.
+    Raises ``AssertionError`` on any divergence.
     """
     import dataclasses
 
@@ -190,6 +201,7 @@ def check_simulators(program: Program, ext_defs=None) -> None:
     machines = {
         "default": MachineConfig(n_pfus=2, reconfig_latency=10),
         "tiny": tiny_machine(),
+        "narrow": narrow_machine(),
     }
     grid = simulate_many(program, fast.trace, list(machines.values()),
                          ext_defs=ext_defs, jobs=2)

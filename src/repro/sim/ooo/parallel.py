@@ -31,7 +31,14 @@ from repro.obs import get_recorder
 #: the fixed cost of a split to 8-10 ms. The split broke even at 12k
 #: instructions per configuration (24k replays: 21.4 ms serial, 18.8 ms
 #: split). The floor sits at about twice that, where a split saves
-#: about as much as it pays.
+#: about as much as it pays. Re-measured once the replay loop was
+#: specialised to the machine (same VM, same method, each run on a fresh
+#: trace prefix so its pre-pass is built too; the host ran slower than
+#: before, so absolute times are higher): the split broke even at 10k
+#: instructions per configuration (20k replays: 35.0 ms serial,
+#: 34.7 ms split, 21/41 runs won), as the parent did at 8-10k, and won
+#: 40 of 41 runs at 48k replays. The break-even moved by less than the
+#: noise and stays far below the floor.
 WORK_FLOOR = 50_000
 
 

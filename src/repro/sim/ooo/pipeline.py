@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import os
 from contextlib import nullcontext
+from functools import lru_cache
 from math import ceil
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from repro.errors import SimulationError
 from repro.isa.encoding import TEXT_BASE
@@ -104,67 +105,96 @@ _PREPASS_ATTR = "_prepass_cache"
 
 _REPLAY_ATTR = "_replay_tab_cache"
 
-_FAST_LOOP_CACHE: dict[tuple, object] = {}
+
+class _LoopShape(NamedTuple):
+    """Every value the generated replay loop is specialised to, and
+    nothing else: it is the compiled-loop cache key, so values that do
+    not change the generated source (horizon, PFU count and latencies,
+    the memory hierarchy) stay out of it."""
+
+    has_mul: bool
+    has_div: bool
+    has_mem: bool
+    has_ext: bool
+    obs_live: bool
+    record: bool
+    #: the issue ring's per-cycle limit
+    issue_width: int
+    decode_width: int
+    commit_width: int
+    ruu_size: int
+    #: per-cycle limit of each unit ring, None where the ring is elided
+    alu: int | None
+    mul: int | None
+    mem: int | None
 
 
-def _fast_loop_source(
-    has_mul: bool, has_div: bool, has_mem: bool, has_ext: bool,
-    obs_live: bool, record: bool,
-) -> str:
-    """Source of a replay loop specialized to one program/run shape.
+def _loop_shape(present: frozenset, cfg: MachineConfig, obs_live: bool,
+                record: bool) -> _LoopShape:
+    """The loop specialisation for a program whose instruction classes
+    are ``present`` on machine ``cfg``.
+
+    A unit ring whose limit is at least the issue ring's limit is
+    elided: a unit's per-cycle count never exceeds the issue count of
+    that cycle, so once an op passes the issue check its unit cannot be
+    full. When every present class contends on the integer ALUs the two
+    rings always carry equal counts, so the issue ring alone serves with
+    the tighter limit and the ALU ring is elided by the same rule.
+    """
+    has_mul = _C_MUL in present
+    has_div = _C_DIV in present
+    has_mem = _C_LOAD in present or _C_STORE in present
+    has_ext = _C_EXT in present
+    multi = has_mul or has_div or has_mem or has_ext
+    width = cfg.issue_width if multi else min(cfg.issue_width, cfg.n_ialu)
+
+    def ring(used: bool, limit: int) -> int | None:
+        return limit if used and limit < width else None
+
+    return _LoopShape(
+        has_mul, has_div, has_mem, has_ext, obs_live, record, width,
+        cfg.decode_width, cfg.commit_width, cfg.ruu_size,
+        ring(multi, cfg.n_ialu), ring(has_mul or has_div, cfg.n_imult),
+        ring(has_mem, cfg.n_memports),
+    )
+
+
+def _fast_loop_source(shape: _LoopShape) -> str:
+    """Source of a replay loop specialised to one program, machine and
+    run shape.
 
     The loop is the reference pipeline model with per-cycle resource
     dicts replaced by stamped ring buffers and the fetch stage replaced
     by the precomputed ``fcyc`` array (fetch has no feedback from the
-    core in this model); specialization drops the branches for
+    core in this model). Specialisation drops the branches for
     instruction classes the program does not contain and for disabled
-    observability/timeline recording, so the common ALU-heavy iteration
-    executes a minimal straight-line body. Programs whose classes all
-    contend on the integer ALUs additionally fuse the issue-width and
-    ALU rings into one (their per-cycle counts are always equal). The
-    numeric class literals below are the _C_* constants.
+    observability/timeline recording, and every unit ring that
+    :func:`_loop_shape` elides, so the common ALU iteration executes a
+    minimal straight-line body. The core's widths, RUU size and kept
+    unit limits are literals; the RUU slot is a mask when ``ruu_size``
+    is a power of two. The numeric class literals below are the _C_*
+    constants.
     """
-    O = obs_live
+    O = shape.obs_live
+    W = shape.issue_width
+    R = shape.ruu_size
+    has_mul, has_div = shape.has_mul, shape.has_div
+    has_mem, has_ext = shape.has_mem, shape.has_ext
     multi = has_mul or has_div or has_mem or has_ext
     lines: list[str] = []
 
     def a(level: int, text: str) -> None:
         lines.append("    " * level + text)
 
-    def issue_loop(level: int, us: str, uc: str, limit: str) -> None:
-        """Unit + issue-width contention search for one resource group.
-        The issued-count update is folded into the search's final
-        iteration so the slot index is computed once per probe."""
-        a(level, "while True:")
-        a(level + 1, "i = t & mask")
-        a(level + 1, "if iss_s[i] == t:")
-        a(level + 2, "if iss_c[i] >= issue_width:")
-        a(level + 3, "t += 1")
-        a(level + 3, "continue")
-        a(level + 2, f"if {us}[i] == t:")
-        a(level + 3, f"if {uc}[i] >= {limit}:")
-        a(level + 4, "t += 1")
-        a(level + 4, "continue")
-        a(level + 3, f"{uc}[i] += 1")
-        a(level + 2, "else:")
-        a(level + 3, f"{us}[i] = t")
-        a(level + 3, f"{uc}[i] = 1")
-        a(level + 2, "iss_c[i] += 1")
-        a(level + 1, "else:")
-        a(level + 2, f"if {us}[i] == t:")
-        a(level + 3, f"if {uc}[i] >= {limit}:")
-        a(level + 4, "t += 1")
-        a(level + 4, "continue")
-        a(level + 3, f"{uc}[i] += 1")
-        a(level + 2, "else:")
-        a(level + 3, f"{us}[i] = t")
-        a(level + 3, f"{uc}[i] = 1")
-        if O:
-            a(level + 2, "if iss_c[i]:")
-            a(level + 3, "issue_widths.append(iss_c[i])")
-        a(level + 2, "iss_s[i] = t")
-        a(level + 2, "iss_c[i] = 1")
-        a(level + 1, "break")
+    def unit_claim(level: int, unit: str, limit: int) -> None:
+        a(level, f"if {unit}_s[i] == t:")
+        a(level + 1, f"if {unit}_c[i] >= {limit}:")
+        a(level + 2, "t += 1")
+        a(level + 2, "continue")
+        a(level + 1, f"{unit}_c[i] += 1")
+        a(level, "else:")
+        a(level + 1, f"{unit}_s[i] = t")
+        a(level + 1, f"{unit}_c[i] = 1")
 
     def issued_update(level: int) -> None:
         a(level, "if iss_s[i] == t:")
@@ -176,15 +206,58 @@ def _fast_loop_source(
         a(level + 1, "iss_s[i] = t")
         a(level + 1, "iss_c[i] = 1")
 
-    a(0, "def replay(per_k, indices, addrs, fcyc, mlat, conf_tab,")
-    a(0, "           decode_width, issue_width, commit_width,")
-    a(0, "           ruu_size, n_ialu, n_imult, n_memports, horizon, bank,")
-    a(0, "           iss_s, iss_c, alu_s, alu_c, mul_s, mul_c, mem_s, mem_c,")
-    a(0, "           pfu_s, rec_lo, rec_hi, timeline):")
+    def unit_search(level: int, unit: str) -> None:
+        """Issue-width plus (unless elided) unit contention search. The
+        issued-count update is folded into the search's final iteration
+        so the slot index is computed once per probe."""
+        limit = getattr(shape, unit)
+        a(level, "while True:")
+        a(level + 1, "i = t & mask")
+        a(level + 1, "if iss_s[i] == t:")
+        a(level + 2, f"if iss_c[i] >= {W}:")
+        a(level + 3, "t += 1")
+        a(level + 3, "continue")
+        if limit is not None:
+            unit_claim(level + 2, unit, limit)
+        a(level + 2, "iss_c[i] += 1")
+        a(level + 1, "else:")
+        if limit is not None:
+            unit_claim(level + 2, unit, limit)
+        if O:
+            a(level + 2, "if iss_c[i]:")
+            a(level + 3, "issue_widths.append(iss_c[i])")
+        a(level + 2, "iss_s[i] = t")
+        a(level + 2, "iss_c[i] = 1")
+        a(level + 1, "break")
+
+    def ext_search(level: int) -> None:
+        a(level, "ps = pfu_s[pfu_slot] if pfu_slot is not None"
+                 " else None")
+        a(level, "while True:")
+        a(level + 1, "i = t & mask")
+        a(level + 1, f"if iss_s[i] == t and iss_c[i] >= {W}:")
+        a(level + 2, "t += 1")
+        a(level + 2, "continue")
+        a(level + 1, "if ps is not None:")
+        a(level + 2, "if ps[i] == t:")
+        a(level + 3, "t += 1")
+        a(level + 3, "continue")
+        a(level + 2, "ps[i] = t")
+        issued_update(level + 1)
+        a(level + 1, "break")
+        a(level, "bank.note_issue(pfu_slot, t)")
+
+    def horizon_check(level: int) -> None:
+        a(level, "if t - d >= horizon:")
+        a(level + 1, "return None")
+
+    a(0, "def replay(per_k, indices, addrs, fcyc, mlat, conf_tab, horizon,")
+    a(0, "           bank, iss_s, iss_c, alu_s, alu_c, mul_s, mul_c,")
+    a(0, "           mem_s, mem_c, pfu_s, rec_lo, rec_hi, timeline):")
     a(1, "mask = horizon - 1")
     a(1, "disp_cycle = 1")
     a(1, "disp_n = 0")
-    a(1, "commit_ring = [0] * ruu_size")
+    a(1, f"commit_ring = [0] * {R}")
     if has_div:
         a(1, "div_free = 0")
     a(1, "reg_ready = [0] * 32")
@@ -192,8 +265,6 @@ def _fast_loop_source(
         a(1, "store_ready = {}")
     a(1, "commit_cycle = 1")
     a(1, "commit_n = 0")
-    if not multi:
-        a(1, "lim = issue_width if issue_width < n_ialu else n_ialu")
     if O:
         a(1, "st_disp_ruu = st_disp_width = 0")
         a(1, "st_issue_operands = st_issue_store_dep = 0")
@@ -212,7 +283,7 @@ def _fast_loop_source(
         # RUU exactly as in the reference loop
         a(2, "if d < disp_cycle:")
         a(3, "d = disp_cycle")
-    a(2, "kslot = k % ruu_size")
+    a(2, f"kslot = k & {R - 1}" if R & (R - 1) == 0 else f"kslot = k % {R}")
     a(2, "freed = commit_ring[kslot] + 1")
     a(2, "if freed > d:")
     if O:
@@ -221,7 +292,7 @@ def _fast_loop_source(
     a(2, "if d > disp_cycle:")
     a(3, "disp_cycle = d")
     a(3, "disp_n = 1")
-    a(2, "elif disp_n >= decode_width:")
+    a(2, f"elif disp_n >= {shape.decode_width}:")
     if O:
         a(3, "st_disp_width += 1")
     a(3, "d = disp_cycle + 1")
@@ -273,150 +344,79 @@ def _fast_loop_source(
     # -- issue: structural search (and, for the non-obs multi-group
     # variant, the class-specific waits and completion, fused into the
     # per-group branch so ALU iterations skip every dead class check) --
-    def horizon_check(level: int) -> None:
-        a(level, "if t - d >= horizon:")
-        a(level + 1, "return None")
-
-    def div_search(level: int) -> None:
-        a(level, "while True:")
-        a(level + 1, "i = t & mask")
-        a(level + 1, "if iss_s[i] == t and iss_c[i] >= issue_width:")
-        a(level + 2, "t += 1")
-        a(level + 2, "continue")
-        a(level + 1, "if mul_s[i] == t:")
-        a(level + 2, "if mul_c[i] >= n_imult:")
-        a(level + 3, "t += 1")
-        a(level + 3, "continue")
-        a(level + 2, "mul_c[i] += 1")
-        a(level + 1, "else:")
-        a(level + 2, "mul_s[i] = t")
-        a(level + 2, "mul_c[i] = 1")
-        a(level + 1, "div_free = t + lat")
-        issued_update(level + 1)
-        a(level + 1, "break")
-
-    def ext_search(level: int) -> None:
-        a(level, "ps = pfu_s[pfu_slot] if pfu_slot is not None"
-                 " else None")
-        a(level, "while True:")
-        a(level + 1, "i = t & mask")
-        a(level + 1, "if iss_s[i] == t and iss_c[i] >= issue_width:")
-        a(level + 2, "t += 1")
-        a(level + 2, "continue")
-        a(level + 1, "if ps is not None:")
-        a(level + 2, "if ps[i] == t:")
-        a(level + 3, "t += 1")
-        a(level + 3, "continue")
-        a(level + 2, "ps[i] = t")
-        issued_update(level + 1)
-        a(level + 1, "break")
-        a(level, "bank.note_issue(pfu_slot, t)")
-
-    if multi:
-        branches: list[tuple[str, object]] = [
-            ("0", ("alu_s", "alu_c", "n_ialu"))
-        ]
-        if has_mem:
-            branches.append(("3", ("mem_s", "mem_c", "n_memports")))
-        if has_mul:
-            branches.append(("1", ("mul_s", "mul_c", "n_imult")))
-        if has_div:
-            branches.append(("2", "div"))
-        if has_ext:
-            branches.append(("4", "ext"))
-
     if not multi:
-        # single resource group: the issue-width and ALU rings always
-        # carry equal counts, so one ring with the tighter limit serves
-        a(2, "while True:")
-        a(3, "i = t & mask")
-        a(3, "if iss_s[i] == t:")
-        a(4, "if iss_c[i] >= lim:")
-        a(5, "t += 1")
-        a(5, "continue")
-        a(4, "iss_c[i] += 1")
-        a(3, "else:")
-        if O:
-            a(4, "if iss_c[i]:")
-            a(5, "issue_widths.append(iss_c[i])")
-        a(4, "iss_s[i] = t")
-        a(4, "iss_c[i] = 1")
-        a(3, "break")
+        unit_search(2, "alu")
         horizon_check(2)
         if O:
             a(2, "if t > t_pre:")
             a(3, "st_issue_struct += t - t_pre")
         a(2, "complete = t + lat")
-    elif O:
-        for bi, (grp_lit, spec) in enumerate(branches):
-            if bi == 0:
-                a(2, f"if grp == {grp_lit}:")
-            elif bi < len(branches) - 1:
-                a(2, f"elif grp == {grp_lit}:")
-            else:
-                a(2, "else:")
-            body = 3
-            if spec == "div":
-                div_search(body)
-            elif spec == "ext":
-                ext_search(body)
-            else:
-                us, uc, limit = spec
-                issue_loop(body, us, uc, limit)
-        horizon_check(2)
-        a(2, "if t > t_pre:")
-        a(3, "st_issue_struct += t - t_pre")
-        # -- execute/complete --
-        if has_mem:
-            a(2, "if cls == 3:")
-            a(3, "complete = t + mlat[k]")
-            a(2, "elif cls == 4:")
-            a(3, "complete = t + 1")
-            a(3, "store_ready[addrs[k] >> 2] = complete")
-            a(2, "else:")
-            a(3, "complete = t + lat")
-        else:
-            a(2, "complete = t + lat")
     else:
-        for bi, (grp_lit, spec) in enumerate(branches):
+        branches = ["0"]
+        if has_mem:
+            branches.append("3")
+        if has_mul:
+            branches.append("1")
+        if has_div:
+            branches.append("2")
+        if has_ext:
+            branches.append("4")
+        for bi, grp in enumerate(branches):
             if bi == 0:
-                a(2, f"if grp == {grp_lit}:")
+                a(2, f"if grp == {grp}:")
             elif bi < len(branches) - 1:
-                a(2, f"elif grp == {grp_lit}:")
+                a(2, f"elif grp == {grp}:")
             else:
                 a(2, "else:")
             body = 3
-            if spec == "div":
-                a(body, "if div_free > t:")
-                a(body + 1, "t = div_free")
-                div_search(body)
-                horizon_check(body)
-                a(body, "complete = t + lat")
-            elif spec == "ext":
-                a(body, "conf = conf_tab[indices[k]]")
-                a(body, "config_ready, pfu_slot = bank.acquire(conf, d)")
-                a(body, "if config_ready > t:")
-                a(body + 1, "t = config_ready")
+            if grp == "2":
+                if not O:
+                    a(body, "if div_free > t:")
+                    a(body + 1, "t = div_free")
+                unit_search(body, "mul")
+                a(body, "div_free = t + lat")
+            elif grp == "4":
+                if not O:
+                    a(body, "conf = conf_tab[indices[k]]")
+                    a(body, "config_ready, pfu_slot = bank.acquire(conf, d)")
+                    a(body, "if config_ready > t:")
+                    a(body + 1, "t = config_ready")
                 ext_search(body)
-                horizon_check(body)
-                a(body, "complete = t + lat")
-            elif grp_lit == "3":
-                a(body, "if cls == 3:")
-                a(body + 1, "dep = store_ready.get(addrs[k] >> 2, 0)")
-                a(body + 1, "if dep > t:")
-                a(body + 2, "t = dep")
-                issue_loop(body, "mem_s", "mem_c", "n_memports")
-                horizon_check(body)
+            elif grp == "3":
+                if not O:
+                    a(body, "if cls == 3:")
+                    a(body + 1, "dep = store_ready.get(addrs[k] >> 2, 0)")
+                    a(body + 1, "if dep > t:")
+                    a(body + 2, "t = dep")
+                unit_search(body, "mem")
+            else:
+                unit_search(body, "alu" if grp == "0" else "mul")
+            if O:
+                continue
+            horizon_check(body)
+            if grp == "3":
                 a(body, "if cls == 3:")
                 a(body + 1, "complete = t + mlat[k]")
                 a(body, "else:")
                 a(body + 1, "complete = t + 1")
                 a(body + 1, "store_ready[addrs[k] >> 2] = complete")
             else:
-                us, uc, limit = spec
-                issue_loop(body, us, uc, limit)
-                horizon_check(body)
                 a(body, "complete = t + lat")
+        if O:
+            horizon_check(2)
+            a(2, "if t > t_pre:")
+            a(3, "st_issue_struct += t - t_pre")
+            # -- execute/complete --
+            if has_mem:
+                a(2, "if cls == 3:")
+                a(3, "complete = t + mlat[k]")
+                a(2, "elif cls == 4:")
+                a(3, "complete = t + 1")
+                a(3, "store_ready[addrs[k] >> 2] = complete")
+                a(2, "else:")
+                a(3, "complete = t + lat")
+            else:
+                a(2, "complete = t + lat")
     a(2, "if dst:")
     a(3, "reg_ready[dst] = complete")
     # -- commit --
@@ -424,7 +424,7 @@ def _fast_loop_source(
     a(2, "if c > commit_cycle:")
     a(3, "commit_cycle = c")
     a(3, "commit_n = 1")
-    a(2, "elif commit_n >= commit_width:")
+    a(2, f"elif commit_n >= {shape.commit_width}:")
     if O:
         a(3, "st_commit_width += 1")
     a(3, "c = commit_cycle + 1")
@@ -434,7 +434,7 @@ def _fast_loop_source(
     a(3, "c = commit_cycle")
     a(3, "commit_n += 1")
     a(2, "commit_ring[kslot] = c")
-    if record:
+    if shape.record:
         a(2, "if rec_lo <= k < rec_hi:")
         a(3, "timeline.append((indices[k], fcyc[k], d, t, complete, c))")
     if O:
@@ -449,22 +449,17 @@ def _fast_loop_source(
     return "\n".join(lines) + "\n"
 
 
-def _fast_loop(
-    has_mul: bool, has_div: bool, has_mem: bool, has_ext: bool,
-    obs_live: bool, record: bool,
-):
-    """Compile (and cache) the replay loop for one specialization."""
-    key = (has_mul, has_div, has_mem, has_ext, obs_live, record)
-    fn = _FAST_LOOP_CACHE.get(key)
-    if fn is None:
-        namespace: dict = {}
-        code = compile(
-            _fast_loop_source(*key), f"<t1000-replay:{key}>", "exec"
-        )
-        exec(code, namespace)  # noqa: S102 - trusted, self-generated source
-        fn = namespace["replay"]
-        _FAST_LOOP_CACHE[key] = fn
-    return fn
+@lru_cache(maxsize=64)
+def _fast_loop(shape: _LoopShape):
+    """Compile (and cache) the replay loop for one specialisation. The
+    cache is bounded: a long-lived process that sees many core shapes
+    recompiles the least recently used ones (a few ms each)."""
+    namespace: dict = {}
+    code = compile(
+        _fast_loop_source(shape), f"<t1000-replay:{tuple(shape)}>", "exec"
+    )
+    exec(code, namespace)  # noqa: S102 - trusted, self-generated source
+    return namespace["replay"]
 
 
 class OoOSimulator:
@@ -722,8 +717,8 @@ class OoOSimulator:
         per-cycle resource dicts replaced by stamped ring buffers of
         ``horizon`` slots, the cache hierarchy and fetch stage replaced
         by the trace's pre-pass (:meth:`_prepass`), and the loop body
-        specialized to the program's instruction-class mix
-        (:func:`_fast_loop`).
+        specialized to the program's instruction-class mix and the
+        machine's core shape (:func:`_fast_loop`).
         Returns None if any instruction's issue cycle drifts
         ``horizon`` or more cycles past its dispatch cycle (the caller
         retries with larger rings or falls back to the reference
@@ -737,51 +732,34 @@ class OoOSimulator:
         pre = self._prepass(trace, obs)
         per_k, class_counts = self._replay_tab(trace)
 
-        present = self._present
-        has_mul = _C_MUL in present
-        has_div = _C_DIV in present
-        has_mem = _C_LOAD in present or _C_STORE in present
-        has_ext = _C_EXT in present
-        multi = has_mul or has_div or has_mem or has_ext
+        shape = _loop_shape(self._present, cfg, obs is not None,
+                            record_window is not None)
 
         # stamped rings: slot `cycle & (horizon-1)` is live iff its stamp
         # equals the cycle; stale slots read as zero and are reclaimed on
-        # write, so memory stays O(horizon) regardless of trace length
+        # write, so memory stays O(horizon) regardless of trace length.
+        # Elided unit rings are not allocated.
+        def ring(limit: int | None) -> tuple[list, list] | tuple[None, None]:
+            if limit is None:
+                return None, None
+            return [0] * horizon, [0] * horizon
+
         iss_s = [0] * horizon
         iss_c = [0] * horizon
-        if multi:
-            alu_s = [0] * horizon
-            alu_c = [0] * horizon
-        else:
-            alu_s = alu_c = None
-        if has_mul or has_div:
-            mul_s = [0] * horizon
-            mul_c = [0] * horizon
-        else:
-            mul_s = mul_c = None
-        if has_mem:
-            mem_s = [0] * horizon
-            mem_c = [0] * horizon
-        else:
-            mem_s = mem_c = None
+        alu_s, alu_c = ring(shape.alu)
+        mul_s, mul_c = ring(shape.mul)
+        mem_s, mem_c = ring(shape.mem)
         pfu_s = (
             [[0] * horizon for _ in range(cfg.n_pfus)]
-            if has_ext and cfg.n_pfus else None
+            if shape.has_ext and cfg.n_pfus else None
         )
 
         timeline: list[tuple[int, int, int, int, int, int]] = []
         rec_lo, rec_hi = record_window if record_window else (0, -1)
 
-        loop = _fast_loop(
-            has_mul, has_div, has_mem, has_ext,
-            obs is not None, record_window is not None,
-        )
-        out = loop(
-            per_k, indices, addrs, pre.fcyc, pre.mlat, self._conf,
-            cfg.decode_width, cfg.issue_width, cfg.commit_width,
-            cfg.ruu_size, cfg.n_ialu, cfg.n_imult, cfg.n_memports,
-            horizon, bank,
-            iss_s, iss_c, alu_s, alu_c, mul_s, mul_c, mem_s, mem_c,
+        out = _fast_loop(shape)(
+            per_k, indices, addrs, pre.fcyc, pre.mlat, self._conf, horizon,
+            bank, iss_s, iss_c, alu_s, alu_c, mul_s, mul_c, mem_s, mem_c,
             pfu_s, rec_lo, rec_hi, timeline,
         )
         if out is None:

@@ -21,6 +21,9 @@ other access — misses, non-MRU hits, the first store to a clean MRU
 line — run through :class:`~repro.sim.cache.hierarchy.MemoryHierarchy`,
 so the LRU, eviction and writeback logic stays in one place and the
 result is exactly what a per-access walk through the hierarchy gives.
+The dtlb and dl1 legs of a data access are judged apart: when only the
+page is its set's MRU entry, the translation is an inline hit and only
+the dl1 leg goes through the hierarchy.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ def build_prepass(
     ends the fetch group and forces a refetch of the target line.
     """
     hier = MemoryHierarchy(hierarchy)
-    ifetch, dload, dstore = hier.ifetch, hier.dload, hier.dstore
+    ifetch, access, translate = hier.ifetch, hier._access, hier.dtlb.translate
+    dl1_cache = hier.dl1
     il1, dl1 = hierarchy.il1, hierarchy.dl1
     itlb, dtlb = hierarchy.itlb, hierarchy.dtlb
     ish = _bits(il1.line_size)
@@ -99,21 +103,26 @@ def build_prepass(
         itmru[page & itmask] = page
         return ifetch(pc) - 1
 
-    def data_slow(addr: int, line: int, page: int, store: bool) -> int:
+    def data_l1(addr: int, line: int, store: bool) -> int:
+        """The dl1 leg of a data access, through the hierarchy; the
+        caller has translated (or inline-hit) its page."""
         s = line & dmask
         if store:
             ddirty[s] = line
         elif dmru[s] != line:
             ddirty[s] = None
         dmru[s] = line
+        return access(dl1_cache, addr, store)
+
+    def data_slow(addr: int, line: int, page: int, store: bool) -> int:
         dtmru[page & dtmask] = page
-        return dstore(addr) if store else dload(addr)
+        return translate(addr) + data_l1(addr, line, store)
 
     n = len(indices)
     last = n - 1
     fcyc = [0] * n
     mlat = array("i", bytes(4 * n))
-    inline_fetch = inline_data = 0
+    inline_fetch = inline_data = inline_dtlb = 0
     fc = 1              # fetch cycle of the current fetch group
     full = fetch_width  # dynamic index at which that group is full
     cur = None          # line the group fetches from (None: refetch)
@@ -151,19 +160,25 @@ def build_prepass(
         line = a >> dsh
         page = a >> dtsh
         if ev == EV_LOAD:
-            if dmru[line & dmask] == line and dtmru[page & dtmask] == page:
+            if dtmru[page & dtmask] != page:
+                mlat[k] = data_slow(a, line, page, False)
+            elif dmru[line & dmask] == line:
                 inline_data += 1
                 mlat[k] = dhit_lat
             else:
-                mlat[k] = data_slow(a, line, page, False)
-        elif ddirty[line & dmask] == line and dtmru[page & dtmask] == page:
+                inline_dtlb += 1
+                mlat[k] = data_l1(a, line, False)
+        elif dtmru[page & dtmask] != page:
+            data_slow(a, line, page, True)
+        elif ddirty[line & dmask] == line:
             inline_data += 1
         else:
-            data_slow(a, line, page, True)
+            inline_dtlb += 1
+            data_l1(a, line, True)
 
     for level, inline in (
         (hier.il1, inline_fetch), (hier.itlb, inline_fetch),
-        (hier.dl1, inline_data), (hier.dtlb, inline_data),
+        (hier.dl1, inline_data), (hier.dtlb, inline_data + inline_dtlb),
     ):
         level.stats.accesses += inline
         level.stats.hits += inline

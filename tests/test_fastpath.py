@@ -21,12 +21,15 @@ from repro.asm import assemble
 from repro.engine import EngineConfig, ExperimentEngine, get_default_pipeline
 from repro.extinst.extdef import ExtInstDef, ExtOp, sequential_chain
 from repro.extinst.validate import memory_snapshot
+from repro.fuzz import narrow_machine
 from repro.harness import figures
 from repro.isa.opcodes import Opcode
 from repro.isa.semantics import _EVAL
 from repro.sim.compile import _EXPR, compile_ext
 from repro.sim.functional import FunctionalSimulator
+from repro.obs import observed
 from repro.sim.ooo import MachineConfig, OoOSimulator
+from repro.sim.ooo.pipeline import _fast_loop, _fast_loop_source, _loop_shape
 from repro.workloads import WORKLOAD_NAMES, build_workload
 
 
@@ -155,6 +158,13 @@ class TestCompiledExtEvaluator:
         assert pickle.dumps(ext) == before
 
 
+#: Keeps the ALU and memory rings, RUU slot by ``%``.
+NARROW = narrow_machine()
+#: Elides the memory and multiplier rings; keeps the ALU ring at one
+#: below the issue width, the largest limit that is not elided.
+WIDE = MachineConfig(n_memports=4, n_imult=4, n_ialu=3)
+
+
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
 class TestTimingEquivalence:
     """Dense-window replay vs the reference pipeline loop, per workload."""
@@ -163,6 +173,8 @@ class TestTimingEquivalence:
         MachineConfig(),
         MachineConfig(issue_width=2, ruu_size=16, n_pfus=2,
                       reconfig_latency=50),
+        NARROW,
+        WIDE,
     )
 
     def test_sim_stats_identical(self, name):
@@ -173,6 +185,120 @@ class TestTimingEquivalence:
             slow_cfg = dataclasses.replace(config, sim_fast_path=False)
             slow = OoOSimulator(program, config=slow_cfg).simulate(trace)
             assert vars(fast) == vars(slow), (name, config)
+
+
+class TestLoopSpecialisation:
+    """The replay loop is generated per program class mix and core
+    shape; these pin which unit rings each tested machine keeps, and
+    that the compiled-loop cache holds one loop per generated source."""
+
+    ALL = frozenset(range(8))   # every instruction class present
+
+    def test_tested_machines_cover_kept_and_elided_rings(self):
+        default = _loop_shape(self.ALL, MachineConfig(), False, False)
+        assert (default.alu, default.mul, default.mem) == (None, 1, 2)
+        narrow = _loop_shape(self.ALL, NARROW, False, False)
+        assert (narrow.alu, narrow.mem) == (2, 1)
+        assert narrow.ruu_size & (narrow.ruu_size - 1)
+        assert "k % 48" in _fast_loop_source(narrow)
+        assert "k & 63" in _fast_loop_source(default)
+        wide = _loop_shape(self.ALL, WIDE, False, False)
+        assert (wide.alu, wide.mul, wide.mem) == (3, None, None)
+
+    #: Only ALU ops, control transfers and a halt: one resource group.
+    ALU_ONLY = (
+        ".text\nmain: li $t9, 3000\nloop:\n"
+        "    addu $t0, $t0, $t1\n    xor $t1, $t0, $t9\n"
+        "    addu $t2, $t2, $t1\n    sll $t3, $t0, 2\n"
+        "    or $t4, $t3, $t2\n    addiu $t9, $t9, -1\n"
+        "    bgtz $t9, loop\n    halt\n"
+    )
+
+    def test_single_group_programs_fold_the_alu_limit_into_issue(self):
+        program = assemble(self.ALU_ONLY)
+        trace = FunctionalSimulator(program).run(collect_trace=True).trace
+        for n_ialu, width in ((2, 2), (3, 3), (8, 4)):
+            config = MachineConfig(n_ialu=n_ialu)
+            sim = OoOSimulator(program, config)
+            shape = _loop_shape(sim._present, config, False, False)
+            assert (shape.issue_width, shape.alu) == (width, None)
+            slow_cfg = dataclasses.replace(config, sim_fast_path=False)
+            slow = OoOSimulator(program, config=slow_cfg).simulate(trace)
+            assert vars(sim.simulate(trace)) == vars(slow), n_ialu
+
+    #: Independent multiplies and divides that contend for the one
+    #: multiplier every iteration (no workload does this often).
+    MUL_DIV = (
+        ".text\nmain: li $t9, 400\n    li $t1, 7\n    li $t2, 3\nloop:\n"
+        "    mul $t3, $t1, $t2\n    mul $t4, $t2, $t1\n"
+        "    div $t5, $t1, $t2\n    mul $t6, $t1, $t1\n"
+        "    rem $t7, $t2, $t1\n    mul $t8, $t2, $t2\n"
+        "    addiu $t9, $t9, -1\n    bgtz $t9, loop\n    halt\n"
+    )
+
+    def test_multiplier_ring_kept_and_elided_matches_reference(self):
+        program = assemble(self.MUL_DIV)
+        trace = FunctionalSimulator(program).run(collect_trace=True).trace
+        for config in (MachineConfig(), MachineConfig(issue_width=2),
+                       NARROW, WIDE):
+            fast = OoOSimulator(program, config=config).simulate(trace)
+            slow_cfg = dataclasses.replace(config, sim_fast_path=False)
+            slow = OoOSimulator(program, config=slow_cfg).simulate(trace)
+            assert vars(fast) == vars(slow), config
+
+    def test_one_compiled_loop_per_ruu_size(self):
+        program, defs = get_default_pipeline().rewrite(
+            "gsm_encode", 1, "selective", 2, True
+        )
+        trace = FunctionalSimulator(program, ext_defs=defs).run(
+            collect_trace=True).trace
+        _fast_loop.cache_clear()
+        for ruu_size in (32, 64):
+            for n_pfus in (1, 2, None):
+                for latency in (0, 10, 500):
+                    config = MachineConfig(ruu_size=ruu_size, n_pfus=n_pfus,
+                                           reconfig_latency=latency)
+                    OoOSimulator(program, config, ext_defs=defs).simulate(
+                        trace)
+        info = _fast_loop.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert info.maxsize is not None
+
+
+@pytest.mark.parametrize("name", ["gsm_encode", "unepic", "mpeg2_decode"])
+class TestObservedTimingEquivalence:
+    """The observed fast loop (a live :mod:`repro.obs` recorder) vs the
+    reference loop on a selective 2-PFU rewrite: stats, stall
+    attribution, the issue-width histogram and PFU reconfiguration
+    spans must all match."""
+
+    def test_observed_streams_identical(self, name):
+        program, defs = get_default_pipeline().rewrite(
+            name, 1, "selective", 2, True
+        )
+        trace = FunctionalSimulator(program, ext_defs=defs).run(
+            collect_trace=True).trace
+        for config in (MachineConfig(n_pfus=2, reconfig_latency=10),
+                       NARROW):
+            runs = []
+            for fast in (True, False):
+                cfg = dataclasses.replace(config, sim_fast_path=fast)
+                with observed() as rec:
+                    stats = OoOSimulator(
+                        program, cfg, ext_defs=defs).simulate(trace)
+                hist = rec.metrics.value("sim.issue.width",
+                                         program=program.name)
+                spans = [(s.start, s.end, s.track, s.attrs)
+                         for s in rec.spans if s.name == "pfu.reconfig"]
+                runs.append((
+                    vars(stats),
+                    (hist.bucket_counts, hist.count, hist.sum,
+                     hist.min, hist.max),
+                    spans,
+                ))
+            assert runs[0] == runs[1], (name, config)
+            stats, _, spans = runs[0]
+            assert stats["stall_cycles"] and spans
 
 
 class TestHarnessEquivalence:
