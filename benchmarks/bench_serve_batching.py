@@ -3,7 +3,7 @@
 The serve acceptance benchmark: N concurrent clients each sweep the
 same machine-configuration grid over one program (the design-space
 exploration traffic a shared toolflow service actually sees).  With
-micro-batching on (``max_batch`` > 1) the broker coalesces concurrent
+micro-batching on (``max_batch`` > 1) admission coalesces concurrent
 requests sharing a program/trace into one job, the worker deduplicates
 identical configurations and answers the distinct ones through a single
 shared-trace :func:`~repro.sim.ooo.simulate_many` sweep.  With batching

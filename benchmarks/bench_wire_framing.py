@@ -4,9 +4,8 @@ The zero-copy framing's acceptance benchmark: one client sweeps a
 machine-configuration grid over one program twice against the same
 server — once through a digest-addressed :class:`TraceRef` (the program
 bundle crosses the wire exactly once, every sweep point is a
-~100-byte by-reference request), and once through the legacy inline
-path (``framed=False``), where every request re-ships the pickled
-program envelope.
+~100-byte by-reference request), and once with a plain ``program=``,
+where every request re-ships the pickled program envelope inline.
 
 Asserted shape: the two runs are byte-identical, and the framed sweep
 sends at least 3x fewer bytes per simulate request; the measured
@@ -70,8 +69,7 @@ def test_wire_framing_bytes_per_request():
             assert client.need_trace_retries <= 1, \
                 "trace cache dropped the bundle mid-sweep"
 
-        with ServeClient(server.address, timeout=120.0,
-                         framed=False) as client:
+        with ServeClient(server.address, timeout=120.0) as client:
             client.simulate(program=program, machine=_GRID[0])
             inline_times = []
             for _ in range(_TRIALS):

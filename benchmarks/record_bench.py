@@ -197,8 +197,8 @@ def _measure_wire_framing() -> dict:
     Mirrors ``bench_wire_framing``: one client pipelines a 16-point
     machine-config sweep against an in-process server twice — once
     through a :class:`~repro.serve.client.TraceRef` (the program bundle
-    ships once, every point is a by-reference request) and once inline
-    (``framed=False``, every request re-ships the pickled program).
+    ships once, every point is a by-reference request) and once with a
+    plain ``program=`` (every request re-ships the pickled program).
     Recording aborts unless the two legs are byte-identical and the
     framed leg sends at least 3x fewer bytes per request.
     """
@@ -239,8 +239,7 @@ def _measure_wire_framing() -> dict:
             framed, framed_bytes, _ = sweep(client, ref)
             framed_s = _median_seconds(
                 lambda: sweep(client, ref), repeats=3)
-        with ServeClient(server.address, timeout=120.0,
-                         framed=False) as client:
+        with ServeClient(server.address, timeout=120.0) as client:
             client.simulate(program=program, machine=grid[0])
             inline, inline_bytes, _ = sweep(client, program)
             inline_s = _median_seconds(

@@ -32,8 +32,10 @@ What it adds over one ``t1000 serve`` process:
   on a surviving node, byte-identically (toolflow ops are pure)
   (:mod:`repro.gateway.backend`);
 - **admission classes** — ``interactive`` traffic is served before
-  ``sweep`` traffic, with per-class bounded queues and the broker's
-  explicit ``overloaded`` rejections (:mod:`repro.gateway.admission`);
+  ``sweep`` traffic, with per-class bounded queues and explicit
+  ``overloaded`` rejections, through the admission policy and request
+  checks the backend uses too (:mod:`repro.serve.admission`,
+  :func:`repro.serve.protocol.validate_request`);
 - **fleet control** — local backend subprocesses are spawned, drained,
   and autoscaled from the queue-depth gauge
   (:mod:`repro.gateway.fleet`).
@@ -42,12 +44,6 @@ See ``docs/gateway.md`` for architecture, hash-ring behaviour,
 admission classes, and failover semantics.
 """
 
-from repro.gateway.admission import (
-    ADMISSION_CLASSES,
-    INTERACTIVE,
-    SWEEP,
-    AdmissionQueue,
-)
 from repro.gateway.backend import Backend, BackendDied
 from repro.gateway.fleet import (
     FleetController,
@@ -61,12 +57,12 @@ from repro.gateway.server import (
     gateway_forever,
     routing_key,
 )
+from repro.serve.admission import ADMISSION_CLASSES, INTERACTIVE, SWEEP
 
 __all__ = [
     "ADMISSION_CLASSES",
     "INTERACTIVE",
     "SWEEP",
-    "AdmissionQueue",
     "Backend",
     "BackendDied",
     "FleetController",

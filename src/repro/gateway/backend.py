@@ -63,7 +63,8 @@ class BackendLink:
                 return
             host, port = self.backend.address
             self._reader, self._writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port),
+                asyncio.open_connection(
+                    host, port, limit=protocol.MAX_LINE_BYTES + 1),
                 timeout=self.backend.connect_timeout,
             )
             self._pump_task = asyncio.get_running_loop().create_task(
@@ -83,7 +84,9 @@ class BackendLink:
                 if future is not None and not future.done():
                     future.set_result(response)
         except (ConnectionError, OSError, asyncio.IncompleteReadError,
-                protocol.BadRequestError) as exc:
+                protocol.BadRequestError, ValueError) as exc:
+            # ValueError: a response line over the stream limit; the
+            # stream cannot be resynchronised past it.
             self._fail_all(exc)
         except asyncio.CancelledError:
             self._fail_all(ConnectionError("link closed"))

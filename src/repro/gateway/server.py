@@ -2,7 +2,7 @@
 
 Wiring (one process, one asyncio loop in a background thread)::
 
-    client conns ──► connection coroutines ──► AdmissionQueue (per-class)
+    client conns ──► connection coroutines ──► AdmissionPolicy (per-class)
                                                     │
                          dispatcher coroutine × M ◄─┘
                                 │ route by consistent-hash ring
@@ -20,9 +20,9 @@ responses are byte-identical to direct backend execution.
 Guarantees:
 
 - **cache affinity** — requests route by a stable program/trace key
-  (:func:`routing_key`) over a consistent-hash ring, so each backend's
-  micro-batcher and warm artifact caches keep hitting, and node
-  join/leave only remaps the moved arcs;
+  (:func:`~repro.serve.protocol.routing_key`) over a consistent-hash
+  ring, so each backend's micro-batcher and warm artifact caches keep
+  hitting, and node join/leave only remaps the moved arcs;
 - **failover** — a backend that dies mid-request fails all its
   in-flight entries with :class:`~repro.gateway.backend.BackendDied`;
   the dispatcher replays them on the next node in ring order (toolflow
@@ -30,7 +30,9 @@ Guarantees:
   ``retries`` times;
 - **admission classes** — ``interactive`` traffic is dispatched before
   ``sweep`` traffic, each class has its own bounded queue, and
-  saturation produces the broker's explicit ``overloaded`` answer;
+  saturation produces the explicit ``overloaded`` answer of the
+  admission policy it shares with the backend
+  (:mod:`repro.serve.admission`);
 - **drain** — ``stop()`` (or the ``drain`` op, or SIGTERM in
   foreground mode) closes admission, finishes queued + in-flight
   requests, then closes backends and the listener.
@@ -45,15 +47,17 @@ import time
 from dataclasses import dataclass
 
 from repro.obs import Recorder, get_recorder
-from repro.gateway.admission import (
-    ADMISSION_CLASSES,
-    INTERACTIVE,
-    Admitted,
-    AdmissionQueue,
-)
 from repro.gateway.backend import Backend, BackendDied
 from repro.gateway.ring import HashRing
 from repro.serve import protocol
+from repro.serve.admission import (
+    ADMISSION_CLASSES,
+    INTERACTIVE,
+    SWEEP,
+    Admitted,
+    AdmissionPolicy,
+)
+from repro.serve.protocol import routing_key
 
 __all__ = ["GatewayConfig", "Gateway", "gateway_forever", "routing_key"]
 
@@ -96,39 +100,6 @@ class GatewayConfig:
     debug_ops: bool = False
 
 
-def routing_key(op: str, params: dict) -> str:
-    """Stable routing key: requests that benefit from landing on the
-    same backend share a key.
-
-    ``simulate`` keys on the trace-determining payload (program,
-    ext_defs, max_steps) — deliberately the same components as the
-    backend broker's batch key, so everything the ring sends to one
-    node is also coalescible there.  A by-ref simulate *is* that
-    digest already, and ``put_trace`` shares its key — the upload
-    lands on the exact backend the sweep routes to (and after a
-    failover, on the new ring owner).  ``profile``/``rewrite`` key on
-    the program, ``select`` on the profile, ``compile`` on the source
-    payload; all hit the same backend's warm artifact cache on repeats.
-    """
-    if op == protocol.PUT_TRACE_OP:
-        return f"simulate|ref:{params.get('digest')}"
-    if op == "simulate":
-        digest = params.get("trace_ref")
-        if digest is not None:
-            return f"simulate|ref:{digest}"
-        return "|".join((
-            "simulate",
-            protocol.blob_digest(params.get("program")),
-            protocol.blob_digest(params.get("ext_defs")),
-            str(params.get("max_steps", 50_000_000)),
-        ))
-    if op in ("profile", "rewrite"):
-        return f"{op}|{protocol.blob_digest(params.get('program'))}"
-    if op == "select":
-        return f"select|{protocol.blob_digest(params.get('profile'))}"
-    return f"{op}|{protocol.blob_digest(params)}"
-
-
 class Gateway:
     """The fleet gateway service (asyncio loop in a daemon thread)."""
 
@@ -142,13 +113,12 @@ class Gateway:
         self.recorder = ambient if ambient.enabled else Recorder(
             enabled=True
         )
-        self.admission = AdmissionQueue(
-            limits={
-                INTERACTIVE: self.config.interactive_queue,
-                "sweep": self.config.sweep_queue,
-            },
-            recorder=self.recorder,
+        self.admission = AdmissionPolicy(
+            {INTERACTIVE: self.config.interactive_queue,
+             SWEEP: self.config.sweep_queue},
+            recorder=self.recorder, scope="gateway", where="gateway queue",
         )
+        self._work = asyncio.Event()
         self.ring = HashRing()
         self.backends: dict[str, Backend] = {}
         self.fleet = None                 # attached FleetController
@@ -202,7 +172,8 @@ class Gateway:
     async def _main(self) -> None:
         self._drain_event = asyncio.Event()
         server = await asyncio.start_server(
-            self._serve_conn, self.config.host, self.config.port
+            self._serve_conn, self.config.host, self.config.port,
+            limit=protocol.MAX_LINE_BYTES + 1,
         )
         self._address = server.sockets[0].getsockname()[:2]
         for name in self.config.backends:
@@ -223,7 +194,7 @@ class Gateway:
         # Drain: stop admitting, let dispatchers finish queued work.
         if scaler is not None:
             scaler.cancel()
-        self.admission.close()
+        self.close_admission()
         try:
             await asyncio.wait_for(
                 asyncio.gather(*dispatchers, return_exceptions=True),
@@ -353,7 +324,14 @@ class Gateway:
             while True:
                 try:
                     line = await reader.readline()
+                    oversize = len(line) > protocol.MAX_LINE_BYTES
+                except ValueError:        # longer than the stream limit
+                    oversize = True
                 except (ConnectionError, OSError):
+                    return
+                if oversize:
+                    respond(protocol.error_response(
+                        None, protocol.BAD_REQUEST, "request line too large"))
                     return
                 if not line:
                     return
@@ -368,21 +346,18 @@ class Gateway:
                 declared = request.pop("frames", None)
                 frames: tuple = ()
                 if declared is not None:
-                    # The frame bytes follow on the stream regardless,
-                    # so a bad declaration cannot be resynchronised —
-                    # answer and drop the connection.
-                    if (not isinstance(declared, list) or not all(
-                            isinstance(n, int) and n >= 0
-                            for n in declared)
-                            or sum(declared) > protocol.MAX_FRAME_BYTES):
-                        respond(protocol.error_response(
-                            request.get("id"), protocol.BAD_REQUEST,
-                            "bad frames declaration"))
-                        return
                     try:
                         frames = tuple([
-                            await reader.readexactly(n) for n in declared
+                            await reader.readexactly(n)
+                            for n in protocol.frame_sizes(declared)
                         ])
+                    except protocol.BadRequestError as exc:
+                        # The frame bytes follow on the stream
+                        # regardless: answer, then drop the connection.
+                        respond(protocol.error_response(
+                            request.get("id"), protocol.BAD_REQUEST,
+                            str(exc)))
+                        return
                     except (asyncio.IncompleteReadError, ConnectionError,
                             OSError):
                         return
@@ -420,14 +395,12 @@ class Gateway:
         allowed = protocol.TOOLFLOW_OPS + (protocol.PUT_TRACE_OP,) + (
             ("_crash", "_sleep") if self.config.debug_ops else ()
         )
-        if op not in allowed:
+        try:
+            op, params, timeout_ms = protocol.validate_request(
+                request, allowed, self.config.default_timeout_ms)
+        except protocol.BadRequestError as exc:
             respond(protocol.error_response(
-                request_id, protocol.BAD_REQUEST, f"unknown op {op!r}"))
-            return
-        params = request.get("params") or {}
-        if not isinstance(params, dict):
-            respond(protocol.error_response(
-                request_id, protocol.BAD_REQUEST, "params must be an object"))
+                request_id, protocol.BAD_REQUEST, str(exc)))
             return
         klass = request.get("class", INTERACTIVE)
         if klass not in ADMISSION_CLASSES:
@@ -436,19 +409,12 @@ class Gateway:
                 f"unknown admission class {klass!r} "
                 f"(expected one of {ADMISSION_CLASSES})"))
             return
-        timeout_ms = request.get("timeout_ms", self.config.default_timeout_ms)
-        if not isinstance(timeout_ms, (int, float)) or timeout_ms <= 0:
-            respond(protocol.error_response(
-                request_id, protocol.BAD_REQUEST,
-                f"bad timeout_ms {timeout_ms!r}"))
-            return
         entry = Admitted(
             request_id=request_id, op=op, params=params, klass=klass,
             deadline=time.monotonic() + timeout_ms / 1000.0,
-            respond=respond, route_key=routing_key(op, params),
-            frames=frames,
+            respond=respond, key=routing_key(op, params), frames=frames,
         )
-        verdict = self.admission.submit(entry)
+        verdict = self.admit(entry)
         if verdict == protocol.OVERLOADED:
             respond(protocol.error_response(
                 request_id, protocol.OVERLOADED,
@@ -462,6 +428,29 @@ class Gateway:
         else:
             self.recorder.counter("gateway.admitted", op=op,
                                   klass=klass).inc()
+
+    def admit(self, entry: Admitted) -> str | None:
+        """Submit ``entry`` to admission and wake a dispatcher; the
+        admission verdict (``None`` when admitted)."""
+        verdict = self.admission.submit(entry)
+        if verdict is None:
+            self._work.set()
+        return verdict
+
+    def close_admission(self) -> None:
+        """Stop admitting; wake every waiting dispatcher (drain)."""
+        self.admission.close()
+        self._work.set()
+
+    async def next_entry(self) -> Admitted | None:
+        """Next entry in priority order; ``None`` once admission is
+        closed and drained (the dispatcher's exit signal)."""
+        while not (batch := self.admission.take()):
+            if self.admission.closed:
+                return None
+            self._work.clear()
+            await self._work.wait()
+        return batch[0]
 
     # ------------------------------------------------------------------
     # inline endpoints
@@ -499,7 +488,7 @@ class Gateway:
 
     async def _dispatch_loop(self) -> None:
         while True:
-            entry = await self.admission.get()
+            entry = await self.next_entry()
             if entry is None:
                 return                    # drained and closed
             try:
@@ -510,30 +499,31 @@ class Gateway:
                     f"internal gateway error: {type(exc).__name__}: {exc}",
                 )
 
-    def _choose(self, entry: Admitted) -> Backend | None:
+    def _choose(self, entry: Admitted, tried: set[str]) -> Backend | None:
         """Ring-ordered backend choice, skipping unhealthy and
         already-tried nodes; falls back to any healthy node."""
-        for name in self.ring.preference(entry.route_key):
+        for name in self.ring.preference(entry.key):
             backend = self.backends.get(name)
             if backend is not None and backend.healthy \
-                    and name not in entry.tried:
+                    and name not in tried:
                 return backend
         for backend in self.backends.values():
-            if backend.healthy and backend.name not in entry.tried:
+            if backend.healthy and backend.name not in tried:
                 return backend
         return None
 
     async def _dispatch_one(self, entry: Admitted) -> None:
+        tried: set[str] = set()
         while True:
-            backend = self._choose(entry)
+            backend = self._choose(entry, tried)
             if backend is None:
                 if self._draining:
                     entry.fail(protocol.SHUTTING_DOWN,
                                "gateway is draining")
-                elif entry.tried:
+                elif tried:
                     entry.fail(
                         protocol.WORKER_CRASHED,
-                        f"backend(s) {sorted(entry.tried)} failed and no "
+                        f"backend(s) {sorted(tried)} failed and no "
                         f"healthy backend remains for replay",
                     )
                 else:
@@ -544,7 +534,7 @@ class Gateway:
                     )
                 self._count(entry, None, "unrouted")
                 return
-            entry.tried.add(backend.name)
+            tried.add(backend.name)
             self._route_metrics(backend)
             try:
                 response = await backend.execute(
@@ -557,7 +547,7 @@ class Gateway:
                 self.recorder.counter(
                     "gateway.failover", backend=backend.name
                 ).inc()
-                if len(entry.tried) <= self.config.retries \
+                if len(tried) <= self.config.retries \
                         and not entry.expired():
                     continue              # replay on the next ring node
                 entry.fail(

@@ -21,7 +21,9 @@ What it adds over calling :mod:`repro.api` directly:
 
 - **admission control** — a bounded queue with per-request deadlines;
   saturation produces explicit ``overloaded`` responses (429-style),
-  never unbounded queueing;
+  never unbounded queueing.  One policy (:mod:`repro.serve.admission`)
+  and one request check (:func:`repro.serve.protocol.validate_request`)
+  serve both this backend and the :mod:`repro.gateway`;
 - **micro-batching** — concurrent ``simulate`` requests for the same
   program/trace coalesce into one shared-trace
   :func:`~repro.sim.ooo.simulate_many` sweep and are split back per
@@ -38,7 +40,7 @@ See ``docs/serving.md`` for the protocol, failure modes, and capacity
 tuning.
 """
 
-from repro.serve.broker import PendingRequest, RequestBroker
+from repro.serve.admission import Admitted, AdmissionPolicy
 from repro.serve.client import ServeClient, connect
 from repro.serve.protocol import (
     BAD_REQUEST,
@@ -60,10 +62,10 @@ from repro.serve.server import ServeConfig, ToolflowServer, serve_forever
 from repro.serve.workers import PooledWorker, WorkerCrashed, WorkerHandle
 
 __all__ = [
-    "BAD_REQUEST", "BadRequestError", "DEADLINE_EXCEEDED",
-    "DeadlineExceededError", "OP_FAILED", "OVERLOADED", "OverloadedError",
-    "PROTOCOL_VERSION", "PendingRequest", "PooledWorker", "RemoteOpError",
-    "RequestBroker", "SHUTTING_DOWN", "ServeClient", "ServeConfig",
+    "Admitted", "AdmissionPolicy", "BAD_REQUEST", "BadRequestError",
+    "DEADLINE_EXCEEDED", "DeadlineExceededError", "OP_FAILED", "OVERLOADED",
+    "OverloadedError", "PROTOCOL_VERSION", "PooledWorker", "RemoteOpError",
+    "SHUTTING_DOWN", "ServeClient", "ServeConfig",
     "ServeError", "ServerClosedError", "ToolflowServer", "WORKER_CRASHED",
     "WorkerCrashed", "WorkerCrashedError", "WorkerHandle", "connect",
     "serve_forever",

@@ -358,7 +358,6 @@ class SweepReport:
     #: assertion is skipped).
     cache_hits: "int | None" = None
     cache_misses: "int | None" = None
-    framed: bool = True
 
     @property
     def passed(self) -> bool:
@@ -366,7 +365,7 @@ class SweepReport:
             return False
         if self.sweep_retries != 0:
             return False
-        if self.framed and self.cache_hits is not None:
+        if self.cache_hits is not None:
             return self.cache_hits > 0
         return True
 
@@ -412,7 +411,6 @@ def run_sweep(
     report = SweepReport(points=points)
     with ServeClient(address, timeout=timeout,
                      admission_class=admission_class) as client:
-        report.framed = client.framed
         ref = client.trace_ref(program=program)
         # Warmup: the first by-ref simulate pays the one need_trace
         # round trip (miss -> upload -> retry) against a cold cache.

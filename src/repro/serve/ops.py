@@ -244,7 +244,7 @@ class OpRunner:
     def _simulate_batch(self, items: list[dict],
                         bundle=None) -> list[dict]:
         """Simulate a coalesced batch: items share (program, ext_defs,
-        max_steps) by construction (the broker groups on that key) but
+        max_steps) by construction (admission batches on that key) but
         each carries its own machine configuration.  With ``bundle``
         (a decoded :class:`repro.wire.SimulateBundle` — the by-ref
         path) the shared payload comes from the bundle instead of the

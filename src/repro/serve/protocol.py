@@ -17,11 +17,10 @@ Two framings share one value codec:
   tag, then the payload).  Kind ``J`` is compact JSON with binary
   chunks hoisted out-of-band — the hot path, since by-ref simulate
   jobs carry their trace bundle as raw bytes that then ride the pipe
-  without a pickle copy; kind ``P`` is the legacy pickle frame, kept
-  as the fallback for non-JSON-safe jobs and forced by
-  ``REPRO_SERVE_PICKLE=1``.  Pickle never crosses the network
-  unparsed: the server process forwards client payloads opaquely and
-  only the sandboxed-ish worker process decodes them.
+  without a pickle copy; kind ``P`` is a pickle frame, kept as the
+  fallback for jobs JSON cannot carry.  Pickle never crosses the
+  network unparsed: the server process forwards client payloads
+  opaquely and only the sandboxed-ish worker process decodes them.
 
 A request line may also declare binary **attachments**: a top-level
 ``"frames": [nbytes, ...]`` list means that many raw binary frames
@@ -31,7 +30,7 @@ or base64'd — the ``put_trace`` op uses this to upload a
 ``$trace_ref`` form of ``simulate`` then refers to it by content
 digest (a cache miss answers the typed :data:`NEED_TRACE` error and
 the client re-uploads once).  Responses stay pure JSON lines, so they
-remain byte-identical across the framed and legacy paths and the
+remain byte-identical across the by-reference and plain paths and the
 gateway can relay them verbatim.
 
 Rich toolflow values travel inside the JSON as tagged envelopes
@@ -51,7 +50,7 @@ from __future__ import annotations
 
 import base64
 import json
-import os
+import math
 import pickle
 import struct
 from typing import Any, BinaryIO
@@ -348,6 +347,109 @@ def error_response(
 
 
 # ----------------------------------------------------------------------
+# the request front door (shared by the serve backend and the gateway)
+
+
+def validate_request(request: dict, allowed_ops,
+                     default_timeout_ms: int) -> tuple[str, dict, Any]:
+    """``(op, params, timeout_ms)`` for one parsed request line.
+
+    Raises :class:`BadRequestError` for an op outside ``allowed_ops``,
+    non-object params, a ``trace_ref`` that is not a string simulate
+    param, a non-integer simulate ``max_steps``, or a ``timeout_ms``
+    that is not a finite positive number (booleans, ``NaN``,
+    ``Infinity`` and overflowing literals such as ``1e400`` included).
+    """
+    op = request.get("op")
+    if op not in allowed_ops:
+        raise BadRequestError(f"unknown op {op!r}")
+    params = request.get("params") or {}
+    if not isinstance(params, dict):
+        raise BadRequestError("params must be an object")
+    digest = params.get("trace_ref")
+    if digest is not None and (op != "simulate"
+                               or not isinstance(digest, str)):
+        raise BadRequestError(
+            "trace_ref is only valid as a string simulate param")
+    if op == "simulate" and "max_steps" in params and not _is_int(
+            params["max_steps"]):
+        # routing_key stringifies max_steps: 5 and "5" must not share
+        # a batch.
+        raise BadRequestError(
+            f"max_steps must be an integer, got {params['max_steps']!r}")
+    timeout_ms = request.get("timeout_ms", default_timeout_ms)
+    if not (isinstance(timeout_ms, (int, float))
+            and not isinstance(timeout_ms, bool)
+            and timeout_ms > 0 and _finite(timeout_ms)):
+        raise BadRequestError(f"bad timeout_ms {timeout_ms!r}")
+    return op, params, timeout_ms
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(number: float) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:       # an int too large for a float
+        return False
+
+
+def frame_sizes(declared: Any) -> list[int]:
+    """Check a request's ``"frames"`` declaration; returns it.
+
+    Raises :class:`BadRequestError` unless it is a list of
+    non-negative byte counts within :data:`MAX_FRAME_BYTES` in total.
+    The frame bytes follow on the stream regardless, so a front-end
+    must drop the connection after a bad declaration."""
+    if not isinstance(declared, list) or not all(
+            _is_int(n) and n >= 0 for n in declared):
+        raise BadRequestError(
+            "frames must be a list of non-negative byte counts")
+    if sum(declared) > MAX_FRAME_BYTES:
+        raise BadRequestError(
+            f"frames declare {sum(declared)} bytes, cap is "
+            f"{MAX_FRAME_BYTES}")
+    return declared
+
+
+def routing_key(op: str, params: dict) -> str:
+    """Stable payload key: requests that benefit from landing on the
+    same backend, or in the same batch, share a key.
+
+    The gateway routes on it over its hash ring, and the backend
+    batches ``simulate`` requests on it, so everything the ring sends
+    to one node is also coalescible there.  ``simulate`` keys on the
+    trace-determining payload (program, ext_defs, max_steps); the
+    machine config deliberately stays out — differing configs are
+    exactly what one batched sweep amortises.  A by-ref simulate *is*
+    that digest already, and ``put_trace`` shares its key — the upload
+    lands on the exact backend the sweep routes to (and after a
+    failover, on the new ring owner).  ``profile``/``rewrite`` key on
+    the program, ``select`` on the profile, ``compile`` on the source
+    payload; all hit the same backend's warm artifact cache on repeats.
+    """
+    if op == PUT_TRACE_OP:
+        return f"simulate|ref:{params.get('digest')}"
+    if op == "simulate":
+        digest = params.get("trace_ref")
+        if digest is not None:
+            return f"simulate|ref:{digest}"
+        return "|".join((
+            "simulate",
+            blob_digest(params.get("program")),
+            blob_digest(params.get("ext_defs")),
+            str(params.get("max_steps", 50_000_000)),
+        ))
+    if op in ("profile", "rewrite"):
+        return f"{op}|{blob_digest(params.get('program'))}"
+    if op == "select":
+        return f"select|{blob_digest(params.get('profile'))}"
+    return f"{op}|{blob_digest(params)}"
+
+
+# ----------------------------------------------------------------------
 # length-prefixed framing (server <-> worker pipes)
 #
 # Frame layout: ``!I`` total byte count, one kind byte, payload.
@@ -359,7 +461,7 @@ def error_response(
 #   ``{"$bin": i}`` marker — so a by-ref simulate job's trace bundle
 #   crosses the pipe without a pickle copy.
 # - kind ``P``: a pickled object — the fallback for payloads JSON
-#   cannot carry, and the only kind when ``REPRO_SERVE_PICKLE=1``.
+#   cannot carry.
 
 _FRAME_HEADER = struct.Struct("!I")
 _FRAME_PICKLE = b"P"
@@ -398,31 +500,25 @@ def write_frame(stream: BinaryIO, obj: Any) -> None:
 
     Prefers the ``J`` kind (JSON body + out-of-band binary chunks,
     written without re-copying the chunks); falls back to pickle for
-    non-JSON-safe payloads, or always when ``REPRO_SERVE_PICKLE=1``
-    (checked per call, so tests and operators can flip it live)."""
-    if os.environ.get("REPRO_SERVE_PICKLE") != "1":
-        chunks: list = []
-        try:
-            doc = json.dumps(
-                {"body": _hoist_binary(obj, chunks),
-                 "chunks": [len(c) for c in chunks]},
-                separators=(",", ":"),
-            ).encode()
-        except (TypeError, ValueError):
-            pass
-        else:
-            total = 1 + _FRAME_HEADER.size + len(doc) + sum(
-                len(c) for c in chunks
-            )
-            stream.write(_FRAME_HEADER.pack(total) + _FRAME_JSON
-                         + _FRAME_HEADER.pack(len(doc)) + doc)
-            for chunk in chunks:
-                stream.write(chunk)
-            stream.flush()
-            return
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    stream.write(_FRAME_HEADER.pack(len(payload) + 1) + _FRAME_PICKLE)
-    stream.write(payload)
+    payloads JSON cannot carry."""
+    chunks: list = []
+    try:
+        doc = json.dumps(
+            {"body": _hoist_binary(obj, chunks),
+             "chunks": [len(c) for c in chunks]},
+            separators=(",", ":"),
+        ).encode()
+    except (TypeError, ValueError):
+        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        stream.write(_FRAME_HEADER.pack(len(payload) + 1) + _FRAME_PICKLE)
+        stream.write(payload)
+        stream.flush()
+        return
+    total = 1 + _FRAME_HEADER.size + len(doc) + sum(len(c) for c in chunks)
+    stream.write(_FRAME_HEADER.pack(total) + _FRAME_JSON
+                 + _FRAME_HEADER.pack(len(doc)) + doc)
+    for chunk in chunks:
+        stream.write(chunk)
     stream.flush()
 
 

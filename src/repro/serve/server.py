@@ -2,7 +2,7 @@
 
 Wiring (one process, threads + worker subprocesses)::
 
-    client sockets ──► connection threads ──► RequestBroker (bounded)
+    client sockets ──► connection threads ──► AdmissionPolicy (bounded)
                                                     │ batches
                               dispatcher thread × N ┴─► PooledWorker × N
                                                           │ per-item results
@@ -10,9 +10,10 @@ Wiring (one process, threads + worker subprocesses)::
 
 ``health`` and ``stats`` are answered inline by the connection thread —
 they must keep working while the queue is saturated, that is their
-point.  Everything else flows through the broker's admission control
-(:mod:`repro.serve.broker`) to a worker subprocess
-(:mod:`repro.serve.workers`, :mod:`repro.serve.ops`).
+point.  Everything else is checked by
+:func:`~repro.serve.protocol.validate_request`, admitted by the shared
+admission policy (:mod:`repro.serve.admission`) and handed to a worker
+subprocess (:mod:`repro.serve.workers`, :mod:`repro.serve.ops`).
 
 Observability rides on :mod:`repro.obs`: the server owns an enabled
 :class:`~repro.obs.Recorder` whose registry holds the queue-depth
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 from repro.obs import Recorder
 from repro.serve import protocol
-from repro.serve.broker import _UNBATCHED, PendingRequest, RequestBroker
+from repro.serve.admission import DEFAULT_CLASS, Admitted, AdmissionPolicy
 from repro.serve.trace_cache import TraceCache
 from repro.serve.workers import PooledWorker, WorkerCrashed
 
@@ -109,16 +110,8 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
         Raises :class:`~repro.serve.protocol.BadRequestError` on a bad
         declaration — after which the caller must drop the connection,
         since the stream can no longer be resynchronised."""
-        if (not isinstance(declared, list)
-                or not all(isinstance(n, int) and n >= 0 for n in declared)):
-            raise protocol.BadRequestError(
-                "frames must be a list of non-negative byte counts")
-        if sum(declared) > protocol.MAX_FRAME_BYTES:
-            raise protocol.BadRequestError(
-                f"frames declare {sum(declared)} bytes, cap is "
-                f"{protocol.MAX_FRAME_BYTES}")
         frames = []
-        for nbytes in declared:
+        for nbytes in protocol.frame_sizes(declared):
             chunks, remaining = [], nbytes
             while remaining:
                 chunk = self.rfile.read(remaining)
@@ -168,7 +161,7 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
 
 
 class ToolflowServer:
-    """The service: listener + broker + dispatcher/worker pairs."""
+    """The service: listener + admission + dispatcher/worker pairs."""
 
     def __init__(self, config: ServeConfig | None = None):
         self.config = config or ServeConfig()
@@ -178,12 +171,11 @@ class ToolflowServer:
             max_bytes=self.config.trace_cache_bytes,
             recorder=self.recorder,
         )
-        self.broker = RequestBroker(
-            max_queue=self.config.max_queue,
-            max_batch=self.config.max_batch,
-            linger=self.config.linger,
-            recorder=self.recorder,
+        self.admission = AdmissionPolicy(
+            {DEFAULT_CLASS: self.config.max_queue},
+            max_batch=self.config.max_batch, recorder=self.recorder,
         )
+        self._work = threading.Condition()
         self._workers: list[PooledWorker] = []
         self._dispatchers: list[threading.Thread] = []
         self._listener: _Listener | None = None
@@ -239,7 +231,7 @@ class ToolflowServer:
             if self._stopped.is_set():
                 return
             self._draining = True
-        self.broker.close()
+        self.close_admission()
         deadline = time.monotonic() + (
             self.config.drain_grace if grace is None else grace
         )
@@ -285,45 +277,33 @@ class ToolflowServer:
         allowed = protocol.TOOLFLOW_OPS + (
             ("_crash", "_sleep") if self.config.debug_ops else ()
         )
-        if op not in allowed:
+        try:
+            op, params, timeout_ms = protocol.validate_request(
+                request, allowed, self.config.default_timeout_ms)
+        except protocol.BadRequestError as exc:
             respond(protocol.error_response(
-                request_id, protocol.BAD_REQUEST, f"unknown op {op!r}"))
-            return
-        params = request.get("params") or {}
-        if not isinstance(params, dict):
-            respond(protocol.error_response(
-                request_id, protocol.BAD_REQUEST, "params must be an object"))
+                request_id, protocol.BAD_REQUEST, str(exc)))
             return
         digest = params.get("trace_ref")
-        if digest is not None:
+        if digest is not None and not self.trace_cache.contains(digest):
             # By-ref simulate: answer the miss at admission, before the
             # request burns a queue slot it cannot use.  A miss that
             # develops *after* admission (evicted while queued) fails
             # the batch with the same code at dispatch time.
-            if op != "simulate" or not isinstance(digest, str):
-                respond(protocol.error_response(
-                    request_id, protocol.BAD_REQUEST,
-                    "trace_ref is only valid as a string simulate param"))
-                return
-            if not self.trace_cache.contains(digest):
-                self.recorder.counter("serve.trace_cache.need_trace").inc()
-                respond(protocol.error_response(
-                    request_id, protocol.NEED_TRACE,
-                    f"trace bundle {digest} is not cached here",
-                    digest=digest))
-                return
-        timeout_ms = request.get("timeout_ms", self.config.default_timeout_ms)
-        if not isinstance(timeout_ms, (int, float)) or timeout_ms <= 0:
+            self.recorder.counter("serve.trace_cache.need_trace").inc()
             respond(protocol.error_response(
-                request_id, protocol.BAD_REQUEST,
-                f"bad timeout_ms {timeout_ms!r}"))
+                request_id, protocol.NEED_TRACE,
+                f"trace bundle {digest} is not cached here",
+                digest=digest))
             return
-        pending = PendingRequest(
+        verdict = self.admit(Admitted(
             request_id=request_id, op=op, params=params,
+            klass=DEFAULT_CLASS,
             deadline=time.monotonic() + timeout_ms / 1000.0,
-            respond=respond, batch_key=self._batch_key(op, params),
-        )
-        verdict = self.broker.submit(pending)
+            respond=respond,
+            key=(protocol.routing_key(op, params) if op == "simulate"
+                 else None),
+        ))
         if verdict == protocol.OVERLOADED:
             respond(protocol.error_response(
                 request_id, protocol.OVERLOADED,
@@ -335,6 +315,46 @@ class ToolflowServer:
                 request_id, protocol.SHUTTING_DOWN, "server is draining"))
         else:
             self.recorder.counter("serve.admitted", op=op).inc()
+
+    def admit(self, entry: Admitted) -> str | None:
+        """Submit ``entry`` to admission and wake one dispatcher; the
+        admission verdict (``None`` when admitted)."""
+        with self._work:
+            verdict = self.admission.submit(entry)
+            if verdict is None:
+                self._work.notify()
+            return verdict
+
+    def close_admission(self) -> None:
+        """Stop admitting; wake every dispatcher so drain can finish."""
+        with self._work:
+            self.admission.close()
+            self._work.notify_all()
+
+    def next_batch(self, timeout: float | None = None
+                   ) -> list[Admitted] | None:
+        """Block for the next batch of work.
+
+        Returns ``None`` once admission is closed and drained (the
+        dispatcher's exit signal), or ``[]`` when ``timeout`` elapses
+        with nothing to do.  A batchable head lingers ``linger``
+        seconds for batchmates still in flight from other connections.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._work:
+            while not (batch := self.admission.take()):
+                if self.admission.closed:
+                    return None
+                now = time.monotonic()
+                if deadline is not None and now >= deadline:
+                    return []
+                self._work.wait(None if deadline is None else deadline - now)
+            if (batch[0].key is not None and self.config.linger > 0
+                    and len(batch) < self.admission.max_batch
+                    and not self.admission.closed):
+                self._work.wait(self.config.linger)
+                self.admission.top_up(batch)
+            return batch
 
     def _put_trace(self, request: dict, respond) -> None:
         """Inline handler for ``put_trace``: store the request's first
@@ -358,26 +378,6 @@ class ToolflowServer:
         respond(protocol.ok_response(
             request_id, {"stored": True, "bytes": nbytes}))
 
-    @staticmethod
-    def _batch_key(op: str, params: dict):
-        """Coalescing key: simulate requests batch when they share the
-        trace-determining payload (program, ext_defs, max_steps); the
-        machine config deliberately stays out of the key — differing
-        configs are exactly what one sweep amortises.  A by-ref request
-        already *is* that digest, so it is its own key (and coalesces
-        with every other request naming the same bundle)."""
-        if op != "simulate":
-            return _UNBATCHED
-        digest = params.get("trace_ref")
-        if digest is not None:
-            return ("simulate", digest)
-        return (
-            "simulate",
-            protocol.blob_digest(params.get("program")),
-            protocol.blob_digest(params.get("ext_defs")),
-            params.get("max_steps", 50_000_000),
-        )
-
     # ------------------------------------------------------------------
     # inline endpoints
 
@@ -387,7 +387,7 @@ class ToolflowServer:
                 "status": "draining" if self._draining else "ok",
                 "protocol": protocol.PROTOCOL_VERSION,
                 "workers": sum(1 for w in self._workers if w.alive()),
-                "queue_depth": len(self.broker),
+                "queue_depth": len(self.admission),
                 "max_queue": self.config.max_queue,
                 "uptime_s": round(time.monotonic() - self._epoch, 3),
             }
@@ -408,7 +408,7 @@ class ToolflowServer:
 
     def _dispatch_loop(self, worker: PooledWorker) -> None:
         while True:
-            batch = self.broker.next_batch()
+            batch = self.next_batch()
             if batch is None:
                 return  # drained and closed
             if not batch:
@@ -424,7 +424,7 @@ class ToolflowServer:
                     )
 
     def _execute_batch(self, worker: PooledWorker,
-                       batch: list[PendingRequest]) -> None:
+                       batch: list[Admitted]) -> None:
         op = batch[0].op
         started = time.monotonic()
         if op == "simulate":
@@ -476,7 +476,7 @@ class ToolflowServer:
         self._deliver(batch, slots, reply["results"], started)
 
     @staticmethod
-    def _explode_simulate(batch: list[PendingRequest]):
+    def _explode_simulate(batch: list[Admitted]):
         """Flatten simulate requests into per-configuration items.
 
         One request may carry ``machine`` (single config) or
@@ -484,7 +484,7 @@ class ToolflowServer:
         flat item list and ``slots`` remembers which request and which
         result position every item belongs to."""
         items: list[dict] = []
-        slots: list[tuple[PendingRequest, int | None]] = []
+        slots: list[tuple[Admitted, int | None]] = []
         for request in batch:
             shared = {
                 k: v for k, v in request.params.items()

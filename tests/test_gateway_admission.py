@@ -1,21 +1,28 @@
-"""Priority admission classes (:mod:`repro.gateway.admission`).
+"""Gateway admission classes on the shared policy
+(:mod:`repro.serve.admission`).
 
-Broker-compatible semantics: per-class bounded queues with explicit
-``overloaded`` verdicts, strict interactive-before-sweep dequeue, lazy
-deadline expiry at dequeue time, and clean close/drain behaviour.
+Per-class bounded queues with explicit ``overloaded`` verdicts, strict
+interactive-before-sweep dequeue, lazy deadline expiry at dequeue time,
+and clean close/drain behaviour — driven through the gateway's own
+front-end (:meth:`Gateway.admit`, :meth:`~Gateway.next_entry`,
+:meth:`~Gateway.close_admission`) on a gateway that is never started.
 """
 
 import asyncio
 import time
 
+from repro.gateway import Gateway, GatewayConfig
 from repro.serve import protocol
-from repro.gateway.admission import (
+from repro.serve.admission import (
     ADMISSION_CLASSES,
     INTERACTIVE,
     SWEEP,
     Admitted,
-    AdmissionQueue,
 )
+
+
+def _gateway(**config):
+    return Gateway(GatewayConfig(**config))
 
 
 def _entry(klass=INTERACTIVE, request_id=None, timeout_s=30.0,
@@ -24,7 +31,7 @@ def _entry(klass=INTERACTIVE, request_id=None, timeout_s=30.0,
     return Admitted(
         request_id=request_id, op="simulate", params={}, klass=klass,
         deadline=time.monotonic() + timeout_s,
-        respond=sink.append, route_key="k",
+        respond=sink.append, key="k",
     )
 
 
@@ -37,59 +44,44 @@ class TestBounds:
         assert ADMISSION_CLASSES == (INTERACTIVE, SWEEP)
 
     def test_per_class_limits_reject_that_class_only(self):
-        queue = AdmissionQueue(limits={INTERACTIVE: 2, SWEEP: 1})
-        assert queue.submit(_entry(INTERACTIVE)) is None
-        assert queue.submit(_entry(INTERACTIVE)) is None
-        assert queue.submit(_entry(INTERACTIVE)) == protocol.OVERLOADED
+        gateway = _gateway(interactive_queue=2, sweep_queue=1)
+        assert gateway.admit(_entry(INTERACTIVE)) is None
+        assert gateway.admit(_entry(INTERACTIVE)) is None
+        assert gateway.admit(_entry(INTERACTIVE)) == protocol.OVERLOADED
         # the sweep budget is untouched by the full interactive queue
-        assert queue.submit(_entry(SWEEP)) is None
-        assert queue.submit(_entry(SWEEP)) == protocol.OVERLOADED
-        assert len(queue) == 3
-        assert queue.depth(INTERACTIVE) == 2
-        assert queue.depth(SWEEP) == 1
+        assert gateway.admit(_entry(SWEEP)) is None
+        assert gateway.admit(_entry(SWEEP)) == protocol.OVERLOADED
+        assert len(gateway.admission) == 3
+        assert gateway.admission.depth(INTERACTIVE) == 2
+        assert gateway.admission.depth(SWEEP) == 1
 
     def test_closed_queue_says_shutting_down(self):
-        queue = AdmissionQueue()
-        queue.close()
-        assert queue.submit(_entry()) == protocol.SHUTTING_DOWN
+        gateway = _gateway()
+        gateway.close_admission()
+        assert gateway.admit(_entry()) == protocol.SHUTTING_DOWN
 
 
 class TestPriority:
     def test_interactive_dequeues_before_earlier_sweep(self):
         async def run():
-            queue = AdmissionQueue()
+            gateway = _gateway()
             sweep = _entry(SWEEP, request_id="s1")
             inter = _entry(INTERACTIVE, request_id="i1")
-            queue.submit(sweep)           # arrives first
-            queue.submit(inter)           # still served first
-            assert (await queue.get()) is inter
-            assert (await queue.get()) is sweep
+            gateway.admit(sweep)          # arrives first
+            gateway.admit(inter)          # still served first
+            assert (await gateway.next_entry()) is inter
+            assert (await gateway.next_entry()) is sweep
 
         _run(run())
 
-    def test_requeue_goes_to_the_head_of_its_class(self):
+    def test_same_key_entries_never_batch_at_the_gateway(self):
         async def run():
-            queue = AdmissionQueue()
-            first = _entry(SWEEP, request_id="a")
-            second = _entry(SWEEP, request_id="b")
-            queue.submit(first)
-            queue.submit(second)
-            taken = await queue.get()
-            assert taken is first
-            queue.requeue(taken)          # failover path: back to head
-            assert (await queue.get()) is first
-            assert (await queue.get()) is second
-
-        _run(run())
-
-    def test_requeue_bypasses_bound_and_close(self):
-        async def run():
-            queue = AdmissionQueue(limits={SWEEP: 1})
-            entry = _entry(SWEEP)
-            queue.submit(entry)
-            queue.close()
-            queue.requeue(_entry(SWEEP))  # in-flight work during drain
-            assert queue.depth(SWEEP) == 2
+            gateway = _gateway()
+            first, second = _entry(request_id=1), _entry(request_id=2)
+            gateway.admit(first)
+            gateway.admit(second)         # same key "k"
+            assert (await gateway.next_entry()) is first
+            assert gateway.admission.depth(INTERACTIVE) == 1
 
         _run(run())
 
@@ -97,14 +89,14 @@ class TestPriority:
 class TestDeadlines:
     def test_expired_entry_fails_at_dequeue_never_dispatches(self):
         async def run():
-            queue = AdmissionQueue()
+            gateway = _gateway()
             responses: list = []
             dead = _entry(SWEEP, request_id=7, timeout_s=-0.001,
                           responses=responses)
             live = _entry(SWEEP, request_id=8)
-            queue.submit(dead)
-            queue.submit(live)
-            assert (await queue.get()) is live
+            gateway.admit(dead)
+            gateway.admit(live)
+            assert (await gateway.next_entry()) is live
             assert responses and not responses[0]["ok"]
             assert responses[0]["error"]["code"] == \
                 protocol.DEADLINE_EXCEEDED
@@ -113,23 +105,23 @@ class TestDeadlines:
         _run(run())
 
     def test_sweep_expires_while_parked_behind_interactive(self):
-        # the satellite scenario: a sweep entry with a short deadline
-        # waits behind a stream of interactive work and is failed with
-        # deadline_exceeded when its turn finally comes
+        # a sweep entry with a short deadline waits behind a stream of
+        # interactive work and is failed with deadline_exceeded when
+        # its turn finally comes
         async def run():
-            queue = AdmissionQueue()
+            gateway = _gateway()
             responses: list = []
             sweep = _entry(SWEEP, request_id="slow-sweep",
                            timeout_s=0.05, responses=responses)
-            queue.submit(sweep)
+            gateway.admit(sweep)
             for i in range(3):
-                queue.submit(_entry(INTERACTIVE, request_id=i))
+                gateway.admit(_entry(INTERACTIVE, request_id=i))
             for _ in range(3):            # interactive drains first
-                entry = await queue.get()
+                entry = await gateway.next_entry()
                 assert entry.klass == INTERACTIVE
             await asyncio.sleep(0.06)     # sweep's deadline passes
-            queue.close()
-            assert (await queue.get()) is None
+            gateway.close_admission()
+            assert (await gateway.next_entry()) is None
             assert responses[0]["error"]["code"] == \
                 protocol.DEADLINE_EXCEEDED
             assert "gateway queue" in responses[0]["error"]["message"]
@@ -140,32 +132,32 @@ class TestDeadlines:
 class TestDrain:
     def test_get_returns_none_once_closed_and_empty(self):
         async def run():
-            queue = AdmissionQueue()
+            gateway = _gateway()
             entry = _entry()
-            queue.submit(entry)
-            queue.close()
-            assert (await queue.get()) is entry   # drain finishes work
-            assert (await queue.get()) is None
+            gateway.admit(entry)
+            gateway.close_admission()
+            assert (await gateway.next_entry()) is entry  # drain finishes
+            assert (await gateway.next_entry()) is None
 
         _run(run())
 
     def test_waiting_getters_wake_on_close(self):
         async def run():
-            queue = AdmissionQueue()
-            getter = asyncio.create_task(queue.get())
+            gateway = _gateway()
+            getter = asyncio.create_task(gateway.next_entry())
             await asyncio.sleep(0.01)
-            queue.close()
+            gateway.close_admission()
             assert (await asyncio.wait_for(getter, timeout=1.0)) is None
 
         _run(run())
 
     def test_waiting_getters_wake_on_submit(self):
         async def run():
-            queue = AdmissionQueue()
-            getter = asyncio.create_task(queue.get())
+            gateway = _gateway()
+            getter = asyncio.create_task(gateway.next_entry())
             await asyncio.sleep(0.01)
             entry = _entry()
-            queue.submit(entry)
+            gateway.admit(entry)
             assert (await asyncio.wait_for(getter, timeout=1.0)) is entry
 
         _run(run())
@@ -173,14 +165,11 @@ class TestDrain:
 
 class TestGauges:
     def test_depth_gauges_and_rejection_counters(self):
-        from repro.obs import Recorder
-
-        recorder = Recorder(enabled=True)
-        queue = AdmissionQueue(limits={SWEEP: 1}, recorder=recorder)
-        queue.submit(_entry(SWEEP))
-        queue.submit(_entry(SWEEP))       # rejected
+        gateway = _gateway(sweep_queue=1)
+        gateway.admit(_entry(SWEEP))
+        gateway.admit(_entry(SWEEP))      # rejected
         rows = {(row["name"], tuple(sorted(row["labels"].items()))): row
-                for row in recorder.metrics.snapshot()}
+                for row in gateway.recorder.metrics.snapshot()}
         depth = rows[("gateway.queue.depth", (("klass", SWEEP),))]
         assert depth["value"] == 1
         rejected = rows[(
@@ -188,3 +177,15 @@ class TestGauges:
             (("klass", SWEEP), ("reason", "overloaded")),
         )]
         assert rejected["value"] == 1
+
+    def test_backend_metrics_carry_no_class_label(self):
+        from repro.serve import ServeConfig, ToolflowServer
+
+        server = ToolflowServer(ServeConfig(max_queue=1))
+        for request_id in (1, 2):         # the second is rejected
+            server.handle_request(
+                {"id": request_id, "op": "compile", "params": {}},
+                lambda payload: None)
+        metrics = server.recorder.metrics
+        assert metrics.value("serve.queue.depth") == 1
+        assert metrics.value("serve.rejected", reason="overloaded") == 1

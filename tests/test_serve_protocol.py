@@ -183,14 +183,6 @@ class TestPickleFraming:
         buf.seek(0)
         assert protocol.read_frame(buf)["program"].name == program.name
 
-    def test_env_escape_hatch_forces_pickle_kind(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_PICKLE", "1")
-        buf = io.BytesIO()
-        protocol.write_frame(buf, {"op": "simulate", "items": []})
-        assert buf.getvalue()[4:5] == b"P"
-        buf.seek(0)
-        assert protocol.read_frame(buf) == {"op": "simulate", "items": []}
-
     def test_unknown_frame_kind_raises(self):
         buf = io.BytesIO()
         protocol.write_frame(buf, {"x": 1})

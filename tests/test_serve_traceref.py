@@ -3,9 +3,8 @@
 One in-process server; clients exercise the ``$trace_ref`` handshake:
 cold-cache ``need_trace`` recovery, explicit ``put_trace`` warmup, the
 ship-once guarantee across a config sweep (measured in actual socket
-bytes), trace-carrying bundles, and byte identity of every framed
-response against both the legacy inline path and the
-``REPRO_SERVE_PICKLE=1`` escape hatch.
+bytes), trace-carrying bundles, and byte identity of by-ref and plain
+``program=`` responses against in-process runs.
 """
 
 import json
@@ -91,6 +90,19 @@ class TestByRefSimulate:
             assert sweep_bytes < ref.nbytes
             assert sweep_bytes / len(machines) < 512
 
+    def test_plain_program_requests_match_by_ref(self, server, program,
+                                                 machines, expected):
+        """A plain ``program=`` simulate ships its payload inline — no
+        upload, no trace cache — and answers byte-identically."""
+        with ServeClient(server.address, timeout=60.0) as client:
+            answers = [
+                canonical(client.simulate(program=program, machine=machine))
+                for machine in machines
+            ]
+            assert answers == expected
+            assert client.trace_uploads == 0
+            assert client.need_trace_retries == 0
+
     def test_unknown_digest_without_ref_is_need_trace(self, server):
         with ServeClient(server.address, timeout=60.0) as client:
             with pytest.raises(protocol.NeedTraceError) as info:
@@ -120,42 +132,6 @@ class TestTraceShippedBundles:
             ref = client.trace_ref(program=program, trace=result.trace)
             stats = client.simulate(program=ref, machine=machines[0])
             assert canonical(stats) == expected[0]
-
-
-class TestEscapeHatch:
-    def test_inline_ref_degrades_transparently(self, server, program,
-                                               machines, expected):
-        """A non-framed client's ``trace_ref`` unwraps to the legacy
-        inline params — same call sites, byte-identical answers, no
-        framing anywhere on the wire."""
-        with ServeClient(server.address, timeout=60.0,
-                         framed=False) as client:
-            ref = client.trace_ref(program=program)
-            assert ref.inline
-            answers = [
-                canonical(client.simulate(program=ref, machine=machine))
-                for machine in machines
-            ]
-            assert answers == expected
-            assert client.trace_uploads == 0
-            with pytest.raises(protocol.BadRequestError):
-                client.put_trace(ref)
-
-    def test_pickle_env_matches_framed_answers(self, program, machines,
-                                               expected, monkeypatch):
-        """The full ``REPRO_SERVE_PICKLE=1`` stack — client inline refs
-        plus pickle worker pipe frames — answers byte-identically."""
-        monkeypatch.setenv("REPRO_SERVE_PICKLE", "1")
-        with ToolflowServer(ServeConfig(workers=1)) as srv:
-            with ServeClient(srv.address, timeout=60.0) as client:
-                client.wait_ready()
-                assert not client.framed
-                ref = client.trace_ref(program=program)
-                answers = [
-                    canonical(client.simulate(program=ref, machine=machine))
-                    for machine in machines
-                ]
-        assert answers == expected
 
 
 class TestSweepReport:
