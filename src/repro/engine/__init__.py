@@ -146,7 +146,13 @@ class ExperimentEngine:
         return execute_job
 
     def _execute(self, graph: JobGraph) -> dict[str, JobResult]:
-        results = self._scheduler().run(graph, self._runner())
+        try:
+            results = self._scheduler().run(graph, self._runner())
+        finally:
+            # Inline stages count into this store: persist once per run,
+            # even when the run fails below.
+            if self.store is not None:
+                self.store.flush_counters()
         # Pool workers (and the shared storeless pipeline) count into
         # their own telemetry; fold each job's delta into this run's.
         # A store-backed inline pipeline already shares self.telemetry.
@@ -171,8 +177,6 @@ class ExperimentEngine:
             raise EngineError(
                 f"{len(failures)} job(s) did not complete: {detail}"
             )
-        if self.store is not None:
-            self.store.flush_counters()
         return results
 
     # ------------------------------------------------------------------

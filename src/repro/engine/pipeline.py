@@ -601,7 +601,6 @@ def run_stage(pipeline: ArtifactPipeline, payload: dict) -> dict:
         )
     else:
         raise ConfigurationError(f"unknown job stage {stage!r}")
-    pipeline.flush()
     return {
         "value": value,
         "telemetry": pipeline.telemetry.delta_since(snapshot),
@@ -610,8 +609,15 @@ def run_stage(pipeline: ArtifactPipeline, payload: dict) -> dict:
 
 
 def execute_job(payload: dict) -> dict:
-    """Worker-process job runner (resolves the pipeline by cache dir)."""
-    return run_stage(_pipeline_for(payload.get("cache_dir")), payload)
+    """Worker-process job runner (resolves the pipeline by cache dir).
+
+    A job is a worker's only exit point, so its store counters are
+    persisted here, once per job, whether the stage succeeds or not."""
+    pipeline = _pipeline_for(payload.get("cache_dir"))
+    try:
+        return run_stage(pipeline, payload)
+    finally:
+        pipeline.flush()
 
 
 def spec_payload(spec: ExperimentSpec, cache_dir: str | None) -> dict:

@@ -29,6 +29,7 @@ treated as misses and deleted, never raised.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -103,12 +104,18 @@ def machine_from_json(data: dict) -> MachineConfig:
     return MachineConfig(**fields)
 
 
+@functools.lru_cache(maxsize=1024)
 def machine_fingerprint(machine: MachineConfig) -> str:
     """Stable digest of every semantic MachineConfig field (hierarchy
     included). Execution-strategy fields that cannot change results
     (``sim_fast_path``; the fast/reference paths are verified
     bit-identical) are excluded so cached artifacts stay valid either
-    way."""
+    way.
+
+    Memoized by value: a sweep asks for the same few machines' digests
+    hundreds of times.  The memo is exact because every integer field of
+    a machine (hierarchy leaves included) is exactly an ``int``, so two
+    equal configs always dump the same JSON."""
     fields = asdict(machine)
     fields.pop("sim_fast_path", None)
     blob = json.dumps(fields, sort_keys=True, default=repr)

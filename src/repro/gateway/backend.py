@@ -13,6 +13,11 @@ Failure semantics:
   with :class:`BackendDied`; the awaiting dispatcher catches it and
   fails over (toolflow ops are pure functions of their payload, so
   replay on a surviving node is safe and byte-identical);
+- a line over :data:`~repro.serve.protocol.MAX_LINE_BYTES` fails only
+  its own request, with a typed :class:`~repro.serve.protocol.ServeError`:
+  a relayed request line (which carries the gateway's own fields) is
+  refused before it is sent, and an oversize response line is skipped
+  so the link stays in sync and open;
 - :meth:`Backend.execute` never retries by itself — retry policy
   (which node next, how many attempts) belongs to the gateway's
   dispatch loop, which can see the whole ring;
@@ -26,12 +31,18 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import re
 import time
 from typing import Any, Callable
 
 from repro.serve import protocol
 
 __all__ = ["Backend", "BackendDied"]
+
+
+#: The wire id at the head of a response line (the backend writes
+#: ``id`` first), read to fail the request an oversize line answers.
+_WIRE_ID = re.compile(rb'\{"id":(\d+)[,}]')
 
 
 class BackendDied(Exception):
@@ -73,24 +84,48 @@ class BackendLink:
 
     async def _pump(self) -> None:
         """Reader task: resolve responses to their futures by wire id."""
-        assert self._reader is not None
+        reader = self._reader
+        assert reader is not None
         try:
             while True:
-                line = await self._reader.readline()
-                if not line:
-                    raise ConnectionError("backend closed the connection")
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.LimitOverrunError as exc:
+                    await self._drop_oversize(reader, exc.consumed)
+                    continue
+                except asyncio.IncompleteReadError:
+                    raise ConnectionError(
+                        "backend closed the connection") from None
                 response = protocol.parse_line(line)
                 future = self._inflight.pop(response.get("id"), None)
                 if future is not None and not future.done():
                     future.set_result(response)
-        except (ConnectionError, OSError, asyncio.IncompleteReadError,
-                protocol.BadRequestError, ValueError) as exc:
-            # ValueError: a response line over the stream limit; the
-            # stream cannot be resynchronised past it.
+        except (ConnectionError, OSError, protocol.BadRequestError) as exc:
             self._fail_all(exc)
         except asyncio.CancelledError:
             self._fail_all(ConnectionError("link closed"))
             raise
+
+    async def _drop_oversize(self, reader: asyncio.StreamReader,
+                             buffered: int) -> None:
+        """Skip one response line over the stream limit (``buffered``
+        of its bytes are already read) and fail just the request it
+        answers.  A line whose wire id cannot be read fails the link."""
+        head = await reader.readexactly(min(buffered, 64))
+        while True:
+            try:
+                await reader.readuntil(b"\n")
+                break
+            except asyncio.LimitOverrunError as exc:
+                await reader.readexactly(exc.consumed)
+        match = _WIRE_ID.match(head)
+        if match is None:
+            raise ConnectionError("oversize response line without a wire id")
+        future = self._inflight.pop(int(match.group(1)), None)
+        if future is not None and not future.done():
+            future.set_exception(protocol.RemoteOpError(
+                f"response line too large (over "
+                f"{protocol.MAX_LINE_BYTES} bytes)"))
 
     def _fail_all(self, exc: Exception) -> None:
         self._writer = None
@@ -107,8 +142,13 @@ class BackendLink:
         verbatim behind the JSON line) and await its response object.
 
         ``payload`` must already carry the gateway-assigned ``id``.
-        Raises :class:`BackendDied` on any connection-level failure.
+        Raises :class:`BackendDied` on any connection-level failure and a
+        typed :class:`~repro.serve.protocol.ServeError` for a line over
+        the cap (this request only).
         """
+        line = protocol.dump_line(payload)
+        if len(line) > protocol.MAX_LINE_BYTES:
+            raise protocol.BadRequestError("request line too large")
         try:
             await self._connect()
         except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
@@ -119,7 +159,7 @@ class BackendLink:
         future = asyncio.get_running_loop().create_future()
         self._inflight[payload["id"]] = future
         try:
-            writer.write(protocol.dump_line(payload))
+            writer.write(line)
             for frame in frames:
                 writer.write(frame)
             await writer.drain()
@@ -214,8 +254,10 @@ class Backend:
         """Forward one toolflow request; returns the backend's raw
         response object (``id`` still the gateway's wire id).  Raises
         :class:`BackendDied` on connection-level failure — the caller
-        decides where to fail over.  ``frames`` are the request's
-        binary attachments, relayed untouched."""
+        decides where to fail over — and a typed
+        :class:`~repro.serve.protocol.ServeError` when the request or
+        its answer does not fit a wire line.  ``frames`` are the
+        request's binary attachments, relayed untouched."""
         payload: dict[str, Any] = {
             "id": self.next_id(), "op": op, "params": params,
             "timeout_ms": timeout_ms,

@@ -557,6 +557,12 @@ class Gateway:
                 )
                 self._count(entry, backend, "crashed")
                 return
+            except protocol.ServeError as exc:
+                # The request or its answer is over the line cap: it
+                # fails alone, and the backend stays in the ring.
+                entry.fail(exc.code, str(exc))
+                self._count(entry, backend, "error")
+                return
             # Relay verbatim: only the wire id is mapped back, so the
             # result payload is byte-identical to direct execution.
             relayed = dict(response)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.utils.fields import require_exact_ints
 
 
 def _is_pow2(n: int) -> bool:
@@ -28,6 +29,7 @@ class CacheConfig:
     hit_latency: int
 
     def __post_init__(self) -> None:
+        require_exact_ints(self)
         for label, value in (
             ("nsets", self.nsets),
             ("assoc", self.assoc),

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from repro.sim.cache.cache import Cache, CacheConfig
 from repro.sim.cache.tlb import TLB, TLBConfig
+from repro.utils.fields import require_exact_ints
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,9 @@ class HierarchyConfig:
     itlb: TLBConfig = TLBConfig("itlb", entries=64, assoc=4)
     dtlb: TLBConfig = TLBConfig("dtlb", entries=128, assoc=4)
     mem_latency: int = 18
+
+    def __post_init__(self) -> None:
+        require_exact_ints(self)
 
 
 class MemoryHierarchy:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.sim.cache.cache import Cache, CacheConfig, CacheStats
+from repro.utils.fields import require_exact_ints
 
 
 @dataclass(frozen=True)
@@ -21,6 +22,7 @@ class TLBConfig:
     miss_penalty: int = 30
 
     def __post_init__(self) -> None:
+        require_exact_ints(self)
         if self.entries % self.assoc:
             raise ConfigurationError(
                 f"{self.name}: entries {self.entries} not divisible by assoc"

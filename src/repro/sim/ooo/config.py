@@ -6,6 +6,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
 from repro.sim.cache.hierarchy import HierarchyConfig
+from repro.utils.fields import require_exact_ints
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,9 @@ class MachineConfig:
     sim_fast_path: bool = True
 
     def __post_init__(self) -> None:
+        # Exact ints make ``==`` imply one content digest (the store
+        # memoizes machine fingerprints by value).
+        require_exact_ints(self)
         for name in (
             "fetch_width",
             "decode_width",

@@ -11,7 +11,8 @@ import pytest
 
 import repro.engine.pipeline as pipeline_module
 from repro.engine import (
-    ArtifactPipeline, EngineConfig, ExperimentEngine, make_spec,
+    ArtifactPipeline, ArtifactStore, EngineConfig, EngineError,
+    ExperimentEngine, make_spec,
 )
 from repro.errors import ExtInstError
 from repro.explore import SweepSpec, run_sweep
@@ -58,6 +59,78 @@ class TestColdVsWarm:
         assert stats.artifacts > 0
         assert stats.puts == stats.artifacts
         assert stats.counters.get("sim.timing", 0) > 0
+
+
+@pytest.fixture
+def counter_writes(monkeypatch):
+    """Paths of every counter-file write an :class:`ArtifactStore` makes."""
+    writes = []
+    real_write = ArtifactStore._atomic_write
+
+    def logging_write(path, payload):
+        if path.parent.name == "counters":
+            writes.append(path)
+        real_write(path, payload)
+
+    monkeypatch.setattr(ArtifactStore, "_atomic_write",
+                        staticmethod(logging_write))
+    return writes
+
+
+class TestCounterFlush:
+    """An inline engine persists its store counters once per run, not
+    once per stage, and a failed run still persists what it counted."""
+
+    SWEEP = {"name": "flush", "workloads": [WORKLOAD],
+             "axes": {"algorithm": ["greedy"], "n_pfus": [1, 2],
+                      "reconfig_latency": [10]}}
+
+    def test_inline_run_writes_counters_once(self, tmp_path,
+                                             counter_writes):
+        spec = SweepSpec.from_json(self.SWEEP)
+        for _ in ("cold", "warm"):
+            engine = make_engine(tmp_path, jobs=1)
+            counter_writes.clear()
+            run_sweep(spec, engine)
+            assert len(counter_writes) == 1, counter_writes
+
+    def test_failed_run_keeps_the_counts_of_stages_that_ran(
+        self, tmp_path, monkeypatch
+    ):
+        real_simulate = pipeline_module.OoOSimulator.simulate
+
+        def rewritten_replay_breaks(self, trace):
+            if self.ext_defs:
+                raise RuntimeError("replay broke")
+            return real_simulate(self, trace)
+
+        monkeypatch.setattr(pipeline_module.OoOSimulator, "simulate",
+                            rewritten_replay_breaks)
+        engine = make_engine(tmp_path, jobs=1)
+        with pytest.raises(EngineError, match="replay broke"):
+            engine.run(make_spec(WORKLOAD, "greedy", 2, 10))
+        # A fresh store sees only what reached disk: every stage's puts,
+        # plus the failed stage's timing miss and replay.
+        persisted = ArtifactStore(tmp_path / "cache").stats()
+        assert persisted.puts == persisted.artifacts > 0
+        assert persisted.counters["cache.miss.timing"] == 2
+        assert persisted.counters["store.put.timing"] == 1   # baseline
+        assert persisted.counters["sim.timing"] == 2
+
+    def test_cache_stats_after_cold_then_warm_sweep(self, tmp_path,
+                                                    capsys):
+        spec = SweepSpec.from_json(self.SWEEP)
+        run_sweep(spec, make_engine(tmp_path, jobs=1))
+        run_sweep(spec, make_engine(tmp_path, jobs=1))
+        capsys.readouterr()
+        assert main(["cache", "stats", "--cache-dir",
+                     str(tmp_path / "cache")]) == 0
+        out = capsys.readouterr().out
+        hits = int(out.split("hits: ")[1].split()[0])
+        misses = int(out.split("misses: ")[1].split()[0])
+        puts = int(out.split("puts: ")[1].split()[0])
+        assert hits > 0
+        assert misses == puts > 0
 
 
 class TestParallel:

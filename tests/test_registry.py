@@ -3,17 +3,21 @@
 Covers the registration surface (duplicates, unknown names, listing),
 the cache-key contract — pre-existing greedy/selective artefact digests
 must stay byte-identical to their values from before the registry
-existed — and the repo-wide rule that no module outside
+existed, and so must the machine identities and the timing keys the
+sweep and the pipeline build — and the repo-wide rule that no module outside
 ``repro.extinst`` spells an algorithm name as a string literal.
 """
 
 import ast
+import dataclasses
 import pathlib
 
 import pytest
 
-from repro.engine import make_key
+from repro.engine import ArtifactPipeline, ArtifactStore, make_key
+from repro.engine.store import machine_fingerprint
 from repro.errors import ConfigurationError
+from repro.explore.spec import SweepPoint
 from repro.extinst import (
     ExtractionParams,
     SelectionParams,
@@ -33,6 +37,9 @@ from repro.extinst.registry import (
     selection_cache_extras,
     unregister_selector,
 )
+from repro.sim.cache.cache import CacheConfig
+from repro.sim.cache.hierarchy import HierarchyConfig
+from repro.sim.ooo import MachineConfig
 
 SRC_ROOT = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -204,6 +211,116 @@ class TestCacheKeyStability:
                           validate=True, machine=self.MACHINE)
         assert timing.digest == ("75b03192e2af1b2137ae9b333fbd5640"
                                  "f58313cbe569f861a4476c04a91bda91")
+
+
+def _dl1_256() -> MachineConfig:
+    hierarchy = HierarchyConfig()
+    return MachineConfig(hierarchy=dataclasses.replace(
+        hierarchy, dl1=dataclasses.replace(hierarchy.dl1, nsets=256)))
+
+
+class TestMachineIdentity:
+    """Machine fingerprints and the timing keys built from them, pinned
+    from before :func:`machine_fingerprint` was memoized.  The memo
+    must return exactly what the digest formula computes."""
+
+    MACHINES = {
+        "default": (MachineConfig, "2ffeec05289ca57d"),
+        "narrow": (lambda: MachineConfig(fetch_width=2, decode_width=2,
+                                         issue_width=2, commit_width=2),
+                   "6149dc5614b839f1"),
+        "dl1_256": (_dl1_256, "e6a2baec8125339f"),
+        "unlimited_pfus": (lambda: MachineConfig(n_pfus=None),
+                           "fe7c23aa546a9527"),
+        "reconfig_500": (lambda: MachineConfig(reconfig_latency=500),
+                         "31914bd412b423d2"),
+        # an execution-strategy field, not part of the identity
+        "reference_loop": (lambda: MachineConfig(sim_fast_path=False),
+                           "2ffeec05289ca57d"),
+    }
+    REWRITTEN = SweepPoint(
+        "gsm_encode", 1, SELECTIVE, 2, True,
+        MachineConfig(n_pfus=2, reconfig_latency=100, ruu_size=32))
+    BASELINE_POINT = SweepPoint(
+        "gsm_encode", 1, BASELINE, None, True,
+        MachineConfig(n_pfus=4, reconfig_latency=500, ruu_size=32))
+
+    @pytest.mark.parametrize("name", sorted(MACHINES))
+    def test_fingerprint_byte_identical(self, name):
+        build, digest = self.MACHINES[name]
+        machine_fingerprint.cache_clear()
+        machine = build()
+        assert machine_fingerprint.__wrapped__(machine) == digest
+        assert machine_fingerprint(machine) == digest       # computed
+        assert machine_fingerprint(machine) == digest       # memoized
+        assert machine_fingerprint(dataclasses.replace(machine)) == digest
+        assert machine_fingerprint(build()) == digest
+
+    def test_one_digest_computation_per_distinct_machine(self):
+        machine_fingerprint.cache_clear()
+        for _ in range(3):
+            for build, _digest in self.MACHINES.values():
+                machine_fingerprint(build())
+        # reference_loop equals no other machine, so it computes too
+        assert machine_fingerprint.cache_info().misses == len(self.MACHINES)
+
+    def test_sweep_timing_keys_byte_identical(self):
+        fingerprint = "f" * 16
+        assert self.REWRITTEN.timing_key(fingerprint).digest == (
+            "dd744b4eb19327fe7f45d9689555223a"
+            "65f5d0622dd6c06a630c6262af1787c5")
+        assert self.BASELINE_POINT.timing_key(fingerprint).digest == (
+            "eeb1e473fe0a81a5a58ec26228c9281d"
+            "38687498b8710171aa6ab1f93f48cd86")
+
+    def test_pipeline_builds_the_sweep_timing_keys(self, tmp_path):
+        """The keys :meth:`ArtifactPipeline.timing_for` and
+        :meth:`~ArtifactPipeline.baseline_timing` look up are the ones
+        :meth:`SweepPoint.timing_key` builds, or every warm sweep
+        misses."""
+
+        class KeyLog(ArtifactStore):
+            def get(self, key):
+                looked_up.append(key)
+                return object()            # a hit: nothing simulates
+
+        looked_up = []
+        pipeline = ArtifactPipeline(store=KeyLog(tmp_path / "cache"))
+        fingerprint = pipeline.fingerprint("gsm_encode", 1)
+        for point in (self.REWRITTEN, self.BASELINE_POINT):
+            pipeline.timing_for(point.workload, point.scale,
+                                point.algorithm, point.select_pfus,
+                                point.validate, point.machine)
+        assert looked_up == [self.REWRITTEN.timing_key(fingerprint),
+                             self.BASELINE_POINT.timing_key(fingerprint)]
+
+
+class TestTypeExactMachines:
+    """``==`` on a machine must imply one canonical JSON, so an integer
+    field takes exactly an ``int``: ``64.0`` and ``True`` compare equal
+    to ``64`` and ``1`` but would digest differently."""
+
+    @pytest.mark.parametrize("fields", [
+        {"ruu_size": 64.0}, {"n_pfus": True}, {"reconfig_latency": 10.0},
+        {"bpred_entries": 2048.0},
+    ], ids=["float ruu_size", "bool n_pfus", "float reconfig_latency",
+            "float bpred_entries"])
+    def test_non_int_machine_field_rejected(self, fields):
+        with pytest.raises(ConfigurationError, match="must be an int"):
+            MachineConfig(**fields)
+
+    def test_non_int_hierarchy_leaf_rejected(self):
+        with pytest.raises(ConfigurationError, match="dl1: nsets"):
+            CacheConfig("dl1", nsets=256.0, assoc=4, line_size=32,
+                        hit_latency=1)
+        with pytest.raises(ConfigurationError, match="mem_latency"):
+            HierarchyConfig(mem_latency=18.0)
+        dl1 = HierarchyConfig().dl1
+        with pytest.raises(ConfigurationError, match="hit_latency"):
+            dataclasses.replace(dl1, hit_latency=True)
+
+    def test_unlimited_pfus_still_accepted(self):
+        assert MachineConfig(n_pfus=None).n_pfus is None
 
 
 class TestNoLiteralAlgorithmNames:

@@ -108,14 +108,19 @@ PARITY_TABLE = [
 ]
 
 
-def compile_line(rows: int = 2800) -> bytes:
+def compile_line(rows: int = 2800, **dumps) -> bytes:
     """A ~100 KB ``compile`` request whose answer is larger still."""
     body = "".join(f"    addiu $t1, $t1, {i % 100}  # pad {i:05d}\n"
                    for i in range(rows))
     source = f".text\nmain:\n{body}    halt\n"
     return (json.dumps({"id": 1, "op": "compile",
                         "params": {"source": source, "name": "long_line"},
-                        "timeout_ms": 20_000}) + "\n").encode()
+                        "timeout_ms": 20_000}, **dumps) + "\n").encode()
+
+
+def gateway_stats(address) -> dict:
+    with ServeClient(address, timeout=60.0) as client:
+        return client.call("stats", {})
 
 
 def oversize_line() -> bytes:
@@ -187,8 +192,9 @@ class TestLineLimit:
 
     def test_response_over_the_cap_fails_fast_at_the_gateway(self):
         """An answer longer than the cap cannot be relayed: the gateway
-        must fail the request with a typed error at once, not wait out
-        its 20 s deadline on a link whose reader has died."""
+        must fail that request with a typed error at once, not wait out
+        its 20 s deadline, and must keep the healthy backend that sent
+        it in service."""
         raw = compile_line()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(protocol, "MAX_LINE_BYTES", len(raw) + 1024)
@@ -197,7 +203,41 @@ class TestLineLimit:
                 config = GatewayConfig(backends=(f"{host}:{port}",))
                 with Gateway(config) as gateway:
                     started = time.monotonic()
-                    response, _ = exchange(gateway.address, raw)
+                    response, alive = exchange(gateway.address, raw)
                     elapsed = time.monotonic() - started
-        assert response["error"]["code"] == protocol.WORKER_CRASHED
+                    after, _ = exchange(gateway.address, compile_line(4))
+                    stats = gateway_stats(gateway.address)
+        assert response["error"] == {
+            "code": protocol.OP_FAILED,
+            "message": f"response line too large (over {len(raw) + 1024}"
+                       f" bytes)",
+        }
         assert elapsed < 10.0
+        assert alive
+        assert after["ok"], after
+        assert stats["failovers"] == 0
+        assert stats["backends"][0]["healthy"]
+
+    def test_relayed_line_over_the_cap_is_refused_at_the_gateway(self):
+        """The gateway re-serialises a request and adds its own fields,
+        so a client line just under the cap can outgrow it on the way.
+        The gateway must answer ``bad_request`` itself rather than send
+        it and lose the backend, which then answers the next request."""
+        raw = compile_line(separators=(",", ":"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocol, "MAX_LINE_BYTES", len(raw) + 5)
+            with ToolflowServer(ServeConfig(workers=1)) as backend:
+                host, port = backend.address
+                config = GatewayConfig(backends=(f"{host}:{port}",))
+                with Gateway(config) as gateway:
+                    response, alive = exchange(gateway.address, raw)
+                    after, _ = exchange(gateway.address, compile_line(4))
+                    stats = gateway_stats(gateway.address)
+        assert response["error"] == {
+            "code": protocol.BAD_REQUEST,
+            "message": "request line too large",
+        }
+        assert alive
+        assert after["ok"], after
+        assert stats["failovers"] == 0
+        assert stats["backends"][0]["healthy"]

@@ -84,6 +84,22 @@ class TestEndToEnd:
         served = client.simulate(program=program)
         assert canonical(served) == canonical(api.simulate(program=program))
 
+    @pytest.mark.parametrize("machine, error", [
+        ({"ruu_size": 64.0}, protocol.RemoteOpError),
+        ({"$machine": {"ruu_size": 64.0}}, protocol.BadRequestError),
+        ({"$machine": {"n_pfus": True}}, protocol.BadRequestError),
+    ], ids=["field dict", "machine envelope", "bool n_pfus"])
+    def test_non_int_machine_field_gets_a_typed_error(self, client, program,
+                                                      machine, error):
+        """``64.0`` equals ``64`` but digests differently: the served
+        answer must be a typed error, never a result cached under a
+        second identity of the default machine."""
+        with pytest.raises(error, match="ruu_size|n_pfus"):
+            client.call("simulate", {
+                "program": protocol.encode_value(program),
+                "ext_defs": None, "machine": machine,
+            })
+
     def test_machine_sweep_matches_local(self, client, program):
         machines = [api.MachineConfig(),
                     api.MachineConfig(n_pfus=4, reconfig_latency=0)]
