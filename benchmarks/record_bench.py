@@ -1,11 +1,13 @@
 """Record (or check) the simulator-throughput baseline.
 
-Default mode measures the three ``bench_simulator_perf`` kernels through
-both the fast and reference simulation paths and writes
+Default mode measures every source below and writes
 ``BENCH_simulator.json`` at the repo root: median seconds and ops/sec
 per benchmark, the fast/reference speedup ratio, plus machine info and
-the git revision. The committed file is the perf baseline CI regresses
-against.
+the git revision. Entries merge into the existing file by name, so an
+entry no source produces is kept. ``--only SOURCE ...`` measures just
+those sources; it leaves the file-level ``meta`` alone, and each entry
+it writes carries its own ``git_sha``, ``recorded_at`` and ``cores``.
+The committed file is the perf baseline CI regresses against.
 
 ``--compare RESULTS.json`` takes a ``pytest-benchmark --benchmark-json``
 export, compares each benchmark's median against the committed baseline,
@@ -17,6 +19,7 @@ improvements just print.
 Usage::
 
     PYTHONPATH=src python benchmarks/record_bench.py          # write baseline
+    PYTHONPATH=src python benchmarks/record_bench.py --only native_replay
     PYTHONPATH=src python benchmarks/record_bench.py --compare out.json
 """
 
@@ -61,7 +64,8 @@ def _median_seconds(fn, repeats: int = 5) -> float:
     return statistics.median(samples)
 
 
-def measure() -> dict:
+def _measure_simulator() -> dict:
+    """The three ``bench_simulator_perf`` kernels, fast and reference."""
     program = assemble(_KERNEL)
     steps = FunctionalSimulator(program).run().steps
     trace = FunctionalSimulator(program).run(collect_trace=True).trace
@@ -97,10 +101,50 @@ def measure() -> dict:
             "reference_ops_per_s": round(ops / ref_s),
             "speedup_vs_reference": round(ref_s / fast_s, 2),
         }
-    benchmarks.update(_measure_explore_pruning())
-    benchmarks.update(_measure_selection())
-    benchmarks.update(_measure_wire_framing())
     return benchmarks
+
+
+def _measure_native_replay() -> dict:
+    """``bench_simulator_perf.test_ooo_replay_native``: one replay of the
+    ``unepic``@2 selective 2-PFU trace on the default machine with the
+    pre-pass cached, through the native kernel, the generated Python
+    loop and the reference loop. Recording aborts unless all three
+    answer alike and the kernel is loaded."""
+    from repro import api
+    from repro.sim.ooo import native, parallel
+
+    if not native.available():
+        raise SystemExit("native replay kernel unavailable (no C compiler?)")
+    program = api.compile(workload="unepic", scale=2)
+    profile = api.profile(program=program)
+    selection = api.select(profile=profile, algorithm="selective", pfus=2)
+    rewritten, defs = api.rewrite(program=program, selection=selection)
+    trace = FunctionalSimulator(rewritten, ext_defs=defs).run(
+        collect_trace=True).trace
+
+    def replay(config=MachineConfig()):
+        return OoOSimulator(rewritten, config, ext_defs=defs).simulate(trace)
+
+    slow_cfg = dataclasses.replace(MachineConfig(), sim_fast_path=False)
+    with native.disabled():
+        loop = replay()
+        loop_s = _median_seconds(replay)
+    if not vars(replay()) == vars(loop) == vars(replay(slow_cfg)):
+        raise SystemExit("native, Python and reference replays diverged")
+    native_s = _median_seconds(replay)
+    ref_s = _median_seconds(lambda: replay(slow_cfg), repeats=3)
+    return {
+        "test_ooo_replay_native": {
+            "median_s": round(native_s, 6),
+            "ops_per_s": round(len(trace) / native_s),
+            "python_fast_median_s": round(loop_s, 6),
+            "reference_median_s": round(ref_s, 6),
+            "speedup_vs_python_fast": round(loop_s / native_s, 2),
+            "speedup_vs_reference": round(ref_s / native_s, 2),
+            "instructions": len(trace),
+            "cores": parallel.usable_cores(),
+        },
+    }
 
 
 def _measure_explore_pruning() -> dict:
@@ -268,6 +312,23 @@ def _measure_wire_framing() -> dict:
     }
 
 
+#: source name -> function measuring its entries
+SOURCES = {
+    "simulator": _measure_simulator,
+    "native_replay": _measure_native_replay,
+    "explore_pruning": _measure_explore_pruning,
+    "selector_runtime": _measure_selection,
+    "wire_framing": _measure_wire_framing,
+}
+
+
+def measure(sources=None) -> dict:
+    benchmarks = {}
+    for name in sources or SOURCES:
+        benchmarks.update(SOURCES[name]())
+    return benchmarks
+
+
 def _git_sha() -> str:
     """HEAD's sha, suffixed ``-dirty`` when the working tree has
     uncommitted changes (numbers recorded before a commit would
@@ -285,23 +346,31 @@ def _git_sha() -> str:
         return "unknown"
 
 
-def write_baseline(path: Path) -> None:
-    doc = {
-        "meta": {
-            "git_sha": _git_sha(),
-            "recorded_at": datetime.now(timezone.utc).isoformat(
-                timespec="seconds"
-            ),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "machine": platform.machine(),
-            "cores": os.cpu_count() or 1,
-        },
-        "benchmarks": measure(),
+def write_baseline(path: Path, only=None) -> None:
+    doc = json.loads(path.read_text()) if path.exists() else {
+        "benchmarks": {}}
+    meta = {
+        "git_sha": _git_sha(),
+        "recorded_at": datetime.now(timezone.utc).isoformat(
+            timespec="seconds"
+        ),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cores": os.cpu_count() or 1,
     }
+    measured = measure(only)
+    if only:
+        for row in measured.values():
+            row.setdefault("cores", meta["cores"])
+            row["git_sha"] = meta["git_sha"]
+            row["recorded_at"] = meta["recorded_at"]
+    else:
+        doc["meta"] = meta
+    doc["benchmarks"].update(measured)
     path.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {path}")
-    for name, row in doc["benchmarks"].items():
+    for name, row in measured.items():
         if "speedup_vs_reference" in row:
             detail = f"{row['speedup_vs_reference']}x vs reference"
         elif "algorithms" in row:
@@ -371,10 +440,14 @@ def main(argv=None) -> int:
         "--out", type=Path, default=BASELINE,
         help=f"baseline path to write (default {BASELINE})",
     )
+    parser.add_argument(
+        "--only", nargs="+", choices=sorted(SOURCES), default=None,
+        help="measure only these sources and merge their entries by name",
+    )
     args = parser.parse_args(argv)
     if args.compare is not None:
         return compare(args.compare, args.tolerance)
-    write_baseline(args.out)
+    write_baseline(args.out, args.only)
     return 0
 
 

@@ -166,9 +166,10 @@ def check_simulators(program: Program, ext_defs=None) -> None:
     Runs the block-compiled functional interpreter against the reference
     interpreter (architectural state, trace, execution counts, bitwidth
     profile must all match), then replays the trace through the timing
-    model with the dense-window fast path and the reference loop
-    (``SimStats`` must match field-for-field), on the default machine,
-    on :func:`tiny_machine` and on :func:`narrow_machine`. The same
+    model's fast path — the native kernel where it is available, and
+    the generated Python loop — and the reference loop (``SimStats``
+    must match field-for-field), on the default machine, on
+    :func:`tiny_machine` and on :func:`narrow_machine`. The same
     machines also go through ``simulate_many(..., jobs=2)``, which
     replays some of them in a forked child where forking is safe.
     Raises ``AssertionError`` on any divergence.
@@ -178,6 +179,7 @@ def check_simulators(program: Program, ext_defs=None) -> None:
     from repro.extinst.validate import memory_snapshot
     from repro.sim.functional import FunctionalSimulator
     from repro.sim.ooo import MachineConfig, OoOSimulator, simulate_many
+    from repro.sim.ooo import native
 
     fast = FunctionalSimulator(
         program, ext_defs=ext_defs, compile_blocks=True
@@ -209,12 +211,18 @@ def check_simulators(program: Program, ext_defs=None) -> None:
         stats_fast = OoOSimulator(
             program, config=config, ext_defs=ext_defs
         ).simulate(fast.trace)
+        with native.disabled():
+            stats_loop = OoOSimulator(
+                program, config=config, ext_defs=ext_defs
+            ).simulate(fast.trace)
         slow_cfg = dataclasses.replace(config, sim_fast_path=False)
         stats_slow = OoOSimulator(
             program, config=slow_cfg, ext_defs=ext_defs
         ).simulate(fast.trace)
         assert vars(stats_fast) == vars(stats_slow), \
             f"SimStats diverged ({label} machine)"
+        assert vars(stats_loop) == vars(stats_slow), \
+            f"Python fast loop SimStats diverged ({label} machine)"
         assert vars(stats_grid) == vars(stats_fast), \
             f"forked simulate_many diverged ({label} machine)"
 

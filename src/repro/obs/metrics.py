@@ -64,10 +64,11 @@ class Histogram:
         self.min: float | None = None
         self.max: float | None = None
 
-    def observe(self, value: float) -> None:
-        self.bucket_counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.sum += value
+    def observe(self, value: float, times: int = 1) -> None:
+        """Record ``value``, ``times`` times over."""
+        self.bucket_counts[bisect_left(self.bounds, value)] += times
+        self.count += times
+        self.sum += value * times
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:

@@ -21,25 +21,33 @@ from typing import Callable, Sequence
 
 from repro.obs import get_recorder
 
-#: Below this many instruction replays (trace length × configurations)
-#: an automatic (``jobs=None``) call stays serial. Measured on a 2-core
-#: Intel Xeon VM under CPython 3.11 with prefixes of the 194k-instruction
-#: ``unepic@2`` selective trace, 2 configurations, medians of 41
-#: alternating runs: a bare fork, exit and reap of the ~30 MB process
-#: takes 2.8 ms, and the copy-on-write faults both processes then take
-#: while replaying, plus pickling the child's ``SimStats`` back, bring
-#: the fixed cost of a split to 8-10 ms. The split broke even at 12k
-#: instructions per configuration (24k replays: 21.4 ms serial, 18.8 ms
-#: split). The floor sits at about twice that, where a split saves
-#: about as much as it pays. Re-measured once the replay loop was
-#: specialised to the machine (same VM, same method, each run on a fresh
-#: trace prefix so its pre-pass is built too; the host ran slower than
-#: before, so absolute times are higher): the split broke even at 10k
-#: instructions per configuration (20k replays: 35.0 ms serial,
-#: 34.7 ms split, 21/41 runs won), as the parent did at 8-10k, and won
-#: 40 of 41 runs at 48k replays. The break-even moved by less than the
-#: noise and stays far below the floor.
-WORK_FLOOR = 50_000
+#: What building one pre-pass costs, in replays of the same trace.
+#: Measured on a 2-core Intel Xeon VM under CPython 3.11 with the
+#: 194k-instruction ``unepic@2`` selective trace, medians of 15 runs
+#: each: a pre-pass (``build_prepass``, Python) takes 87-102 ms, about
+#: 450-530 ns per instruction, and a replay through the native kernel,
+#: simulator construction included, 5.4-5.8 ms, about 29 ns per
+#: instruction, on both a 2-PFU and an unlimited-PFU machine. On fresh
+#: 10k-instruction prefixes, two pre-passes and two replays took
+#: 13.0 ms serially, so a pre-pass is ~18 replays at either length.
+#: (With the generated Python replay loop a pre-pass cost about half a
+#: replay.)
+PREPASS_COST = 18
+
+#: Below this much work (trace length × :func:`grid_cost`, i.e.
+#: instruction replays plus ``PREPASS_COST`` per pre-pass instruction
+#: built) an automatic (``jobs=None``) call stays serial. Measured like
+#: ``PREPASS_COST``, 15 alternating serial/split runs per point:
+#: splitting 2 replays of the full trace (388k: 11.6 ms serial,
+#: 18.1 ms split) lost 13 of 15 runs and 4 replays (776k: 22.4 ms,
+#: 18.7 ms) won 12 of 15, so a split's fixed cost (fork, copy-on-write
+#: faults, pickling the stats back) is ~7-12 ms. On fresh prefixes with
+#: two pre-passes and two replays, the split lost at 10k instructions
+#: (380k: 13.0 ms, 14.8 ms, won 5/15) and won at 20k (760k: 23.9 ms,
+#: 21.6 ms, won 10/15). The split breaks even at ~550k either way; the
+#: floor sits at about twice that, where a split saves about as much as
+#: it pays.
+WORK_FLOOR = 1_000_000
 
 
 def usable_cores() -> int:
@@ -76,8 +84,8 @@ def _fork_safe() -> bool:
 
 
 def worker_count(jobs: int | None, n_configs: int, work: int) -> int:
-    """Processes for a grid of ``n_configs`` doing ``work`` instruction
-    replays in total. ``jobs=None`` is automatic: every usable core,
+    """Processes for a grid of ``n_configs`` doing ``work`` (see
+    :data:`WORK_FLOOR`). ``jobs=None`` is automatic: every usable core,
     once the work clears :data:`WORK_FLOOR`. An explicit ``jobs`` skips
     the floor. Either way the count is capped at the usable cores and
     the number of configurations, and is 1 whenever forking is unsafe
@@ -94,32 +102,39 @@ def worker_count(jobs: int | None, n_configs: int, work: int) -> int:
     return cap if jobs is None else min(jobs, cap)
 
 
+def grid_cost(labels: Sequence[int], free_label: int | None,
+              start: int = 0, end: int | None = None) -> int:
+    """Cost of replaying positions ``start..end`` of a grid in one
+    process, in replays: one per position plus :data:`PREPASS_COST` per
+    distinct pre-pass it must build.
+
+    ``labels`` is each position's pre-pass group, non-decreasing. A
+    slice whose first group is ``free_label`` (the pre-pass already
+    cached on the trace, which a child inherits) does not build that
+    one.
+    """
+    end = len(labels) if end is None else end
+    builds = labels[end - 1] - labels[start] + 1
+    if labels[start] == free_label:
+        builds -= 1
+    return end - start + PREPASS_COST * builds
+
+
 def split_grid(
     labels: Sequence[int], free_label: int | None, procs: int
 ) -> list[tuple[int, int]]:
     """Cut positions ``0..len(labels)`` into at most ``procs`` contiguous
-    ``(start, end)`` slices with the smallest largest cost.
-
-    ``labels`` is each position's pre-pass group, non-decreasing. A
-    slice costs one unit per replay plus half a unit per distinct
-    pre-pass it must build. A slice whose first group is ``free_label``
-    (the pre-pass already cached on the trace, which a child inherits)
-    does not build that one.
-    """
+    ``(start, end)`` slices with the smallest largest
+    :func:`grid_cost`."""
     n = len(labels)
-
-    def cost2(start: int, end: int) -> int:   # in half units
-        builds = labels[end - 1] - labels[start] + 1
-        if labels[start] == free_label:
-            builds -= 1
-        return 2 * (end - start) + builds
 
     def greedy(limit: int) -> list[tuple[int, int]] | None:
         slices: list[tuple[int, int]] = []
         start = 0
         while start < n:
             end = start
-            while end < n and cost2(start, end + 1) <= limit:
+            while end < n and grid_cost(labels, free_label,
+                                        start, end + 1) <= limit:
                 end += 1
             if end == start or len(slices) == procs:
                 return None
@@ -127,7 +142,7 @@ def split_grid(
             start = end
         return slices
 
-    lo, hi = 0, cost2(0, n)
+    lo, hi = 0, grid_cost(labels, free_label)
     while lo < hi:
         mid = (lo + hi) // 2
         if greedy(mid) is None:

@@ -26,6 +26,8 @@ The simulated time is the commit cycle of the last instruction.
 from __future__ import annotations
 
 import os
+from array import array
+from collections import Counter
 from contextlib import nullcontext
 from functools import lru_cache
 from math import ceil
@@ -38,7 +40,7 @@ from repro.isa.opcodes import OpClass, Opcode
 from repro.program.program import Program
 from repro.sim.cache.hierarchy import MemoryHierarchy
 from repro.sim.ooo.branchpred import BimodalPredictor, is_conditional
-from repro.sim.ooo import parallel
+from repro.sim.ooo import native, parallel
 from repro.sim.ooo.config import MachineConfig
 from repro.sim.ooo.pfu import PFUBank
 from repro.sim.ooo.prepass import (
@@ -104,6 +106,19 @@ _EVENT_OF = {_C_LOAD: EV_LOAD, _C_STORE: EV_STORE, _C_CTRL: EV_CTRL}
 _PREPASS_ATTR = "_prepass_cache"
 
 _REPLAY_ATTR = "_replay_tab_cache"
+
+#: Attributes caching the native kernel's inputs on the DynTrace: the
+#: static table (keyed like the replay table) and the pre-pass's fetch
+#: cycles as an ``array`` (keyed by the pre-pass list it converts).
+_NATIVE_TAB_ATTR = "_native_tab_cache"
+_NATIVE_FCYC_ATTR = "_native_fcyc_cache"
+
+#: Stall reasons, in the order every replay loop reports them.
+_STALL_REASONS = (
+    "fetch.icache", "dispatch.ruu_full", "dispatch.width", "issue.operands",
+    "issue.store_dep", "issue.pfu_config", "issue.div_busy",
+    "issue.structural", "commit.width",
+)
 
 
 class _LoopShape(NamedTuple):
@@ -462,6 +477,44 @@ def _fast_loop(shape: _LoopShape):
     return namespace["replay"]
 
 
+#: Attribute caching :func:`_decode`'s tables on the Program instance
+#: (process-local: ``Program.__getstate__`` drops underscore attributes).
+_DECODE_ATTR = "_ooo_decode_cache"
+
+
+def _decode(program: Program) -> tuple:
+    """Per static instruction: class, non-zero sources, destination
+    (0 for none), latency (ext: 0, set per simulator), configuration id
+    (-1 for none) and control kind (0 none, 1 conditional, 2 call,
+    3 return). Decoding costs ~8 us per instruction, which a machine
+    grid would otherwise pay once per configuration, so the tables are
+    cached on the program, valid while its text is the same list."""
+    text = program.text
+    cached = program.__dict__.get(_DECODE_ATTR)
+    if cached is not None and cached[0] is text:
+        return cached[1]
+    cls_tab, srcs, dst, lat, conf, ctrl = [], [], [], [], [], []
+    for instr in text:
+        cls = _CLASS_OF[instr.op_class]
+        cls_tab.append(cls)
+        srcs.append(tuple(r for r in instr.uses() if r != 0))
+        defs = instr.defs()
+        dst.append(defs[0] if defs and defs[0] != 0 else 0)
+        lat.append(0 if cls == _C_EXT else instr.info.latency)
+        conf.append(instr.conf if instr.conf is not None else -1)
+        if is_conditional(instr.op):
+            ctrl.append(1)
+        elif instr.op in (Opcode.JAL, Opcode.JALR):
+            ctrl.append(2)
+        elif instr.op is Opcode.JR:
+            ctrl.append(3)
+        else:
+            ctrl.append(0)
+    tables = (cls_tab, srcs, dst, lat, conf, ctrl)
+    program.__dict__[_DECODE_ATTR] = (text, tables)
+    return tables
+
+
 class OoOSimulator:
     """Timing simulator for one program (reusable across traces only by
     constructing a new instance — cache and PFU state are per-run)."""
@@ -475,34 +528,14 @@ class OoOSimulator:
         self.program = program
         self.config = config or MachineConfig()
         self.ext_defs = dict(ext_defs or {})
-        # Pre-extract static per-instruction properties into flat tuples.
-        self._cls: list[int] = []
-        self._srcs: list[tuple[int, ...]] = []
-        self._dst: list[int] = []
-        self._lat: list[int] = []
-        self._conf: list[int] = []
-        self._ctrl_kind: list[int] = []   # 0 none, 1 cond, 2 call, 3 return
+        # Static per-instruction properties (decoded once per program).
+        self._cls, self._srcs, self._dst, base_lat, self._conf, \
+            self._ctrl_kind = _decode(program)
         ext_latency = self._ext_latencies()
-        for instr in program.text:
-            cls = _CLASS_OF[instr.op_class]
-            self._cls.append(cls)
-            self._srcs.append(tuple(r for r in instr.uses() if r != 0))
-            defs = instr.defs()
-            self._dst.append(defs[0] if defs and defs[0] != 0 else 0)
-            if cls == _C_EXT:
-                conf = instr.conf if instr.conf is not None else -1
-                self._lat.append(ext_latency.get(conf, 1))
-            else:
-                self._lat.append(instr.info.latency)
-            self._conf.append(instr.conf if instr.conf is not None else -1)
-            if is_conditional(instr.op):
-                self._ctrl_kind.append(1)
-            elif instr.op in (Opcode.JAL, Opcode.JALR):
-                self._ctrl_kind.append(2)
-            elif instr.op is Opcode.JR:
-                self._ctrl_kind.append(3)
-            else:
-                self._ctrl_kind.append(0)
+        self._lat = [
+            ext_latency.get(conf, 1) if cls == _C_EXT else lat
+            for cls, lat, conf in zip(self._cls, base_lat, self._conf)
+        ]
         self._reconfig_by_conf = self._reconfig_latencies()
         self._ext_lat_sig = tuple(sorted(ext_latency.items()))
         self._present = frozenset(self._cls)
@@ -688,8 +721,6 @@ class OoOSimulator:
         static lookups entirely. Class counts are a pure function of
         the trace, so they are tallied here (via one Counter over the
         static indices) rather than inside the replay loop."""
-        from collections import Counter
-
         indices = trace.indices
         key = (
             id(indices), len(indices), id(self.program.text),
@@ -706,6 +737,80 @@ class OoOSimulator:
         setattr(trace, _REPLAY_ATTR, (key, data))
         return data
 
+    def _native_tab(self, trace: DynTrace) -> tuple:
+        """The native kernel's static table — six ``int32`` per static
+        instruction: class, first and second non-zero source,
+        destination, latency and dense configuration index (-1 unless
+        ``ext``) — and the configuration id of each dense index. Cached
+        on the trace like :meth:`_replay_tab`; the entry holds the
+        program text so its id in the key cannot be reused."""
+        text = self.program.text
+        key = (id(text), self._ext_lat_sig)
+        cached = getattr(trace, _NATIVE_TAB_ATTR, None)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        confs = sorted({conf for conf, cls in zip(self._conf, self._cls)
+                        if cls == _C_EXT})
+        dense = {conf: i for i, conf in enumerate(confs)}
+        tab = array("i")
+        for i, cls in enumerate(self._cls):
+            nz = self._srcs[i]
+            tab.extend((
+                cls, nz[0] if nz else 0, nz[1] if len(nz) > 1 else 0,
+                self._dst[i], self._lat[i],
+                dense[self._conf[i]] if cls == _C_EXT else -1,
+            ))
+        data = (tab, confs)
+        setattr(trace, _NATIVE_TAB_ATTR, (key, data, text))
+        return data
+
+    def _simulate_native(self, trace: DynTrace, pre: Prepass, obs,
+                         horizon: int) -> SimStats | str | None:
+        """The fast path through the native kernel (:mod:`.native`):
+        its stats, :data:`native.OVERFLOW`, or None when the kernel is
+        unavailable or refuses the inputs."""
+        cfg = self.config
+        tab, confs = self._native_tab(trace)
+        cached = getattr(trace, _NATIVE_FCYC_ATTR, None)
+        if cached is None or cached[0] is not pre.fcyc:
+            cached = (pre.fcyc, array("q", pre.fcyc))
+            setattr(trace, _NATIVE_FCYC_ATTR, cached)
+        params = array("q", (
+            cfg.issue_width, cfg.decode_width, cfg.commit_width,
+            cfg.ruu_size, cfg.n_ialu, cfg.n_imult, cfg.n_memports,
+            -1 if cfg.n_pfus is None else cfg.n_pfus, len(confs), horizon,
+        ))
+        conf_lat = array("q", (
+            self._reconfig_by_conf.get(conf, cfg.reconfig_latency)
+            for conf in confs
+        ))
+        got = native.replay(trace.indices, trace.addrs, cached[1], pre.mlat,
+                            tab, params, conf_lat, obs is not None)
+        if got is None or got is native.OVERFLOW:
+            return got
+        stats = SimStats()
+        stats.cycles = got.cycles
+        stats.instructions = len(trace.indices)
+        stats.ext_instructions = got.class_counts[_C_EXT]
+        stats.pfu_hits = got.pfu_hits
+        stats.pfu_misses = got.pfu_misses
+        stats.reconfig_cycles = got.reconfig_cycles
+        stats.class_counts = dict(zip(_CLASS_NAMES, got.class_counts))
+        stats.cache = {level: st.copy() for level, st in pre.cache.items()}
+        if obs is not None:
+            stats.stall_cycles = {
+                reason: cycles
+                for reason, cycles in zip(_STALL_REASONS,
+                                          (pre.fetch_stall, *got.stalls))
+                if cycles
+            }
+            widths = [(w, count) for w, count in enumerate(got.widths)
+                      if count]
+            reconfigs = [(confs[cf], None if slot < 0 else slot, start, end)
+                         for cf, slot, start, end in got.reconfigs]
+            self._publish(obs, stats, widths, reconfigs)
+        return stats
+
     def _simulate_fast(
         self,
         trace: DynTrace,
@@ -715,8 +820,10 @@ class OoOSimulator:
     ) -> SimStats | None:
         """Dense-window replay: the reference pipeline model with the
         per-cycle resource dicts replaced by stamped ring buffers of
-        ``horizon`` slots, the cache hierarchy and fetch stage replaced
-        by the trace's pre-pass (:meth:`_prepass`), and the loop body
+        ``horizon`` slots, and the cache hierarchy and fetch stage
+        replaced by the trace's pre-pass (:meth:`_prepass`). A run that
+        records no timeline goes through the native kernel when it is
+        available (:meth:`_simulate_native`); otherwise the loop body is
         specialized to the program's instruction-class mix and the
         machine's core shape (:func:`_fast_loop`).
         Returns None if any instruction's issue cycle drifts
@@ -724,12 +831,18 @@ class OoOSimulator:
         retries with larger rings or falls back to the reference
         loop)."""
         cfg = self.config
+        pre = self._prepass(trace, obs)
+        if record_window is None:
+            got = self._simulate_native(trace, pre, obs, horizon)
+            if got is native.OVERFLOW:
+                return None
+            if got is not None:
+                return got
         bank = PFUBank(
             cfg.n_pfus, cfg.reconfig_latency,
             latency_by_conf=self._reconfig_by_conf or None,
         )
         indices, addrs = trace.indices, trace.addrs
-        pre = self._prepass(trace, obs)
         per_k, class_counts = self._replay_tab(trace)
 
         shape = _loop_shape(self._present, cfg, obs is not None,
@@ -783,18 +896,11 @@ class OoOSimulator:
             stats.stall_cycles = {
                 reason: cycles
                 for reason, cycles in zip(
-                    (
-                        "fetch.icache", "dispatch.ruu_full",
-                        "dispatch.width", "issue.operands",
-                        "issue.store_dep", "issue.pfu_config",
-                        "issue.div_busy", "issue.structural",
-                        "commit.width",
-                    ),
-                    (pre.fetch_stall, *stalls),
-                )
+                    _STALL_REASONS, (pre.fetch_stall, *stalls))
                 if cycles
             }
-            self._publish(obs, stats, issue_widths, reconfigs)
+            self._publish(obs, stats, Counter(issue_widths).items(),
+                          reconfigs)
         return stats
 
     def _simulate_reference(
@@ -1071,30 +1177,26 @@ class OoOSimulator:
         if obs is not None:
             stats.stall_cycles = {
                 reason: cycles
-                for reason, cycles in (
-                    ("fetch.icache", st_fetch_icache),
-                    ("dispatch.ruu_full", st_disp_ruu),
-                    ("dispatch.width", st_disp_width),
-                    ("issue.operands", st_issue_operands),
-                    ("issue.store_dep", st_issue_store_dep),
-                    ("issue.pfu_config", st_issue_pfu),
-                    ("issue.div_busy", st_issue_div),
-                    ("issue.structural", st_issue_struct),
-                    ("commit.width", st_commit_width),
-                )
+                for reason, cycles in zip(_STALL_REASONS, (
+                    st_fetch_icache, st_disp_ruu, st_disp_width,
+                    st_issue_operands, st_issue_store_dep, st_issue_pfu,
+                    st_issue_div, st_issue_struct, st_commit_width,
+                ))
                 if cycles
             }
-            self._publish(obs, stats, issued.values(), reconfigs)
+            self._publish(obs, stats, Counter(issued.values()).items(),
+                          reconfigs)
         return stats
 
     def _publish(
         self,
         obs,
         stats: SimStats,
-        issue_widths,
+        issue_widths: Iterable[tuple[int, int]],
         reconfigs: list[tuple[int, int | None, int, int]],
     ) -> None:
-        """Publish one run's metrics/spans to a live recorder."""
+        """Publish one run's metrics/spans to a live recorder;
+        ``issue_widths`` holds (ops issued in a cycle, such cycles)."""
         prog = self.program.name
         for reason, cycles in stats.stall_cycles.items():
             obs.counter(f"sim.stall.{reason}", program=prog).inc(cycles)
@@ -1107,8 +1209,8 @@ class OoOSimulator:
                 stats.reconfig_cycles
             )
         hist = obs.histogram("sim.issue.width", program=prog)
-        for width in issue_widths:
-            hist.observe(width)
+        for width, cycles in issue_widths:
+            hist.observe(width, cycles)
         for name, count in stats.class_counts.items():
             if count:
                 obs.counter(f"sim.class.{name}", program=prog).inc(count)
@@ -1195,23 +1297,33 @@ def simulate_many(
             for i in indices
         ]
 
-    procs = parallel.worker_count(jobs, len(configs),
-                                  len(trace) * len(configs))
+    labels = [g for g, (_, group) in enumerate(groups) for _ in group]
+    # the key alone: holding the cached entry would keep its arrays
+    # alive after the parent's shard replaces it
+    cached_key = getattr(trace, _PREPASS_ATTR, (None,))[0]
+    free = next((g for g, (key, _) in enumerate(groups)
+                 if key == cached_key), None)
+    procs = parallel.worker_count(
+        jobs, len(configs),
+        len(trace) * parallel.grid_cost(labels, free) if configs else 0)
     if procs == 1:
         stats = run(order)
     else:
-        labels = [g for g, (_, group) in enumerate(groups) for _ in group]
-        # the key alone: holding the cached entry would keep its arrays
-        # alive after the parent's shard replaces it
-        cached_key = getattr(trace, _PREPASS_ATTR, (None,))[0]
-        free = next((g for g, (key, _) in enumerate(groups)
-                     if key == cached_key), None)
-        shards = [order[a:b]
-                  for a, b in parallel.split_grid(labels, free, procs)]
-        # children inherit the replay table copy-on-write
+        slices = parallel.split_grid(labels, free, procs)
+        # the parent replays the slice that starts on the cached
+        # pre-pass (run_forked runs the first shard here), so that
+        # pre-pass is still cached for the next call on this trace
+        slices.sort(key=lambda ab: labels[ab[0]] != free)
+        shards = [order[a:b] for a, b in slices]
+        order = [i for shard in shards for i in shard]
+        # children inherit the loaded kernel and the replay tables
+        # copy-on-write
         first = OoOSimulator(program, configs[order[0]], ext_defs=ext_defs)
         if first._fast_eligible():
-            first._replay_tab(trace)
+            if record_window is None and native.available():
+                first._native_tab(trace)
+            else:
+                first._replay_tab(trace)
         stats = [s for part in parallel.run_forked(shards, run) for s in part]
     out: list = [None] * len(configs)
     for i, s in zip(order, stats):

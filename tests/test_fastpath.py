@@ -28,7 +28,7 @@ from repro.isa.semantics import _EVAL
 from repro.sim.compile import _EXPR, compile_ext
 from repro.sim.functional import FunctionalSimulator
 from repro.obs import observed
-from repro.sim.ooo import MachineConfig, OoOSimulator
+from repro.sim.ooo import MachineConfig, OoOSimulator, native
 from repro.sim.ooo.pipeline import _fast_loop, _fast_loop_source, _loop_shape
 from repro.workloads import WORKLOAD_NAMES, build_workload
 
@@ -187,6 +187,13 @@ class TestTimingEquivalence:
             assert vars(fast) == vars(slow), (name, config)
 
 
+@pytest.fixture
+def python_loop(monkeypatch):
+    """Keep every replay on the generated Python fast loop."""
+    monkeypatch.setattr(native, "ENABLED", False)
+
+
+@pytest.mark.usefixtures("python_loop")
 class TestLoopSpecialisation:
     """The replay loop is generated per program class mix and core
     shape; these pin which unit rings each tested machine keeps, and
@@ -265,10 +272,30 @@ class TestLoopSpecialisation:
         assert info.maxsize is not None
 
 
+def _observed_runs(program, defs, trace, config):
+    """(stats, issue-width histogram, reconfiguration spans) of one
+    observed fast-path run and one observed reference run."""
+    runs = []
+    for fast in (True, False):
+        cfg = dataclasses.replace(config, sim_fast_path=fast)
+        with observed() as rec:
+            stats = OoOSimulator(program, cfg, ext_defs=defs).simulate(trace)
+        hist = rec.metrics.value("sim.issue.width", program=program.name)
+        spans = [(s.start, s.end, s.track, s.attrs)
+                 for s in rec.spans if s.name == "pfu.reconfig"]
+        runs.append((
+            vars(stats),
+            (hist.bucket_counts, hist.count, hist.sum, hist.min, hist.max),
+            spans,
+        ))
+    return runs
+
+
+@pytest.mark.usefixtures("python_loop")
 @pytest.mark.parametrize("name", ["gsm_encode", "unepic", "mpeg2_decode"])
 class TestObservedTimingEquivalence:
-    """The observed fast loop (a live :mod:`repro.obs` recorder) vs the
-    reference loop on a selective 2-PFU rewrite: stats, stall
+    """The observed Python fast loop (a live :mod:`repro.obs` recorder)
+    vs the reference loop on a selective 2-PFU rewrite: stats, stall
     attribution, the issue-width histogram and PFU reconfiguration
     spans must all match."""
 
@@ -280,22 +307,7 @@ class TestObservedTimingEquivalence:
             collect_trace=True).trace
         for config in (MachineConfig(n_pfus=2, reconfig_latency=10),
                        NARROW):
-            runs = []
-            for fast in (True, False):
-                cfg = dataclasses.replace(config, sim_fast_path=fast)
-                with observed() as rec:
-                    stats = OoOSimulator(
-                        program, cfg, ext_defs=defs).simulate(trace)
-                hist = rec.metrics.value("sim.issue.width",
-                                         program=program.name)
-                spans = [(s.start, s.end, s.track, s.attrs)
-                         for s in rec.spans if s.name == "pfu.reconfig"]
-                runs.append((
-                    vars(stats),
-                    (hist.bucket_counts, hist.count, hist.sum,
-                     hist.min, hist.max),
-                    spans,
-                ))
+            runs = _observed_runs(program, defs, trace, config)
             assert runs[0] == runs[1], (name, config)
             stats, _, spans = runs[0]
             assert stats["stall_cycles"] and spans

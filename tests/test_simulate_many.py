@@ -212,9 +212,11 @@ def test_failed_fork_runs_the_shard_here(monkeypatch):
 
 def _big_grid():
     """A grid well above the work floor, which jobs=None would fork."""
-    program, defs, trace = _rewritten("gsm_encode")
+    program, defs, trace = _rewritten("unepic")
     configs = GRID[:8]
-    assert len(trace) * len(configs) >= parallel.WORK_FLOOR
+    # two hierarchies: whichever pre-pass is cached, one is built
+    assert len(trace) * (len(configs) + parallel.PREPASS_COST) \
+        >= parallel.WORK_FLOOR
     return program, defs, trace, configs
 
 
@@ -224,6 +226,24 @@ def test_automatic_split_forks_when_it_pays(monkeypatch, forks):
     want = simulate_many(program, trace, configs, ext_defs=defs, jobs=1)
     got = simulate_many(program, trace, configs, ext_defs=defs)
     assert len(forks) == 1
+    assert [_dump(s) for s in got] == [_dump(s) for s in want]
+    _assert_reaped(forks)
+
+
+def test_parent_keeps_the_cached_prepass(monkeypatch, forks):
+    """The parent replays the shard that starts on the trace's cached
+    pre-pass, so a repeated grid finds it cached again."""
+    program, defs, trace, configs = _big_grid()
+    trace = DynTrace(indices=trace.indices, addrs=trace.addrs)
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+    # cache the second hierarchy's pre-pass, not the first group's
+    simulate_many(program, trace, configs[1:2], ext_defs=defs, jobs=1)
+    cached = trace._prepass_cache[0]
+    want = simulate_many(program, trace, configs, ext_defs=defs, jobs=1)
+    simulate_many(program, trace, configs[1:2], ext_defs=defs, jobs=1)
+    got = simulate_many(program, trace, configs, ext_defs=defs, jobs=2)
+    assert len(forks) == 1
+    assert trace._prepass_cache[0] == cached
     assert [_dump(s) for s in got] == [_dump(s) for s in want]
     _assert_reaped(forks)
 
@@ -251,8 +271,10 @@ def test_automatic_policy_stays_serial(case, monkeypatch, forks):
 
     if case == "one_config":     # on a trace that clears the floor alone
         program, defs, trace = _rewritten("unepic")
+        trace = DynTrace(indices=trace.indices, addrs=trace.addrs)
         configs = GRID[:1]
-        assert len(trace) >= parallel.WORK_FLOOR
+        assert len(trace) * parallel.grid_cost([0], None) \
+            >= parallel.WORK_FLOOR
         want = simulate_many(program, trace, configs, ext_defs=defs, jobs=1)
         got = run()
     elif case == "live_recorder":      # stall cycles are recorded too
@@ -281,7 +303,8 @@ def test_automatic_policy_stays_serial(case, monkeypatch, forks):
     else:
         short = DynTrace(indices=trace.indices[:1000],
                          addrs=trace.addrs[:1000])
-        assert len(short) * len(configs) < parallel.WORK_FLOOR
+        assert len(short) * (len(configs) + 2 * parallel.PREPASS_COST) \
+            < parallel.WORK_FLOOR
         want = simulate_many(program, short, configs, ext_defs=defs, jobs=1)
         got = simulate_many(program, short, configs, ext_defs=defs)
     assert not forks
@@ -312,10 +335,16 @@ def test_explicit_jobs_is_capped(monkeypatch, forks):
 
 def test_split_grid_balances_replays_and_prepass_builds():
     # replay_grid's shape: one alternative hierarchy, then 8 configs
-    # sharing the pre-pass already cached on the trace
+    # sharing the main pre-pass, which is cached on the trace: the
+    # alternative builds its own, the 8 replay the inherited one
     labels = [0] + [1] * 8
-    assert parallel.split_grid(labels, 1, 2) == [(0, 4), (4, 9)]
-    assert parallel.split_grid(labels, None, 2) == [(0, 4), (4, 9)]
+    assert parallel.PREPASS_COST == 18
+    assert parallel.split_grid(labels, 1, 2) == [(0, 1), (1, 9)]
+    assert parallel.split_grid(labels, None, 2) == [(0, 1), (1, 9)]
+    # the alternative cached instead: each shard builds the main one
+    assert parallel.split_grid(labels, 0, 2) == [(0, 5), (5, 9)]
+    assert parallel.grid_cost(labels, 0, 0, 5) == 5 + 18
+    assert parallel.grid_cost(labels, 0, 5, 9) == 4 + 18
     assert parallel.split_grid(labels, None, 1) == [(0, 9)]
     assert parallel.split_grid([0, 0, 0, 1, 1], None, 2) == [(0, 3), (3, 5)]
     assert parallel.split_grid([0, 1], None, 4) == [(0, 1), (1, 2)]
