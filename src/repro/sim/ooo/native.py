@@ -10,12 +10,16 @@ docs/simulator.md, "Native replay kernel").
 The shared library is built by the system C compiler on first use and
 cached under ``$T1000_CACHE_DIR/native/`` if that is set, else under the
 user's cache directory (``$XDG_CACHE_HOME`` or ``~/.cache``)
-``/t1000/native/``, else under a per-user temp directory. Its file name
-carries the sha256 of the source, the compiler flags and the platform
-tag, so an edited source or another platform never loads a stale
-build. The build writes a temp file and renames it into place, so
-concurrent builders are safe. With no compiler, or a build or load that
-fails, :func:`kernel` returns None and replay stays on the Python loop.
+``/t1000/native/``, else under ``<tmp>/t1000-native-<uid>/``. Its file
+name carries the sha256 of the source, the compiler flags and the
+platform tag, so an edited source or another platform never loads a
+stale build. The build writes a temp file and renames it into place, so
+concurrent builders are safe. A directory or library that is not this
+user's own, or that another user could write to, is never built into or
+loaded from (:func:`_private`): the temp directory's name is
+predictable, so anyone could create it first. With no compiler, or a
+build or load that fails, :func:`kernel` returns None and replay stays
+on the Python loop.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import ctypes
 import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import sysconfig
 import tempfile
@@ -94,9 +99,27 @@ def cache_dirs() -> list[Path]:
             dirs.append(base / "t1000" / "native")
         except RuntimeError:        # no home directory
             pass
-    uid = os.getuid() if hasattr(os, "getuid") else "user"
-    dirs.append(Path(tempfile.gettempdir()) / f"t1000-{uid}" / "native")
+    if hasattr(os, "getuid"):
+        # directly in the (sticky) temp directory, so no other user can
+        # rename it away once it is this user's
+        dirs.append(Path(tempfile.gettempdir())
+                    / f"t1000-native-{os.getuid()}")
     return dirs
+
+
+def _private(path: Path, directory: bool) -> bool:
+    """True when ``path`` is a directory (else a regular file), not a
+    symlink, owned by this user and writable by no other user. Never
+    where there is no file ownership to check (no ``os.getuid``)."""
+    if not hasattr(os, "getuid"):
+        return False
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return False
+    kind = stat.S_ISDIR if directory else stat.S_ISREG
+    return (kind(st.st_mode) and st.st_uid == os.getuid()
+            and not st.st_mode & 0o022)
 
 
 def compiler() -> str | None:
@@ -108,14 +131,15 @@ def compiler() -> str | None:
 
 
 def build(cc: str, target: Path) -> None:
-    """Compile the kernel to ``target`` (temp file, then rename)."""
-    target.parent.mkdir(parents=True, exist_ok=True)
+    """Compile the kernel to ``target`` (temp file, then rename). The
+    caller has checked that ``target.parent`` is :func:`_private`."""
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name,
                                suffix=".tmp")
     os.close(fd)
     try:
         subprocess.run([cc, *CFLAGS, "-o", tmp, str(SOURCE)], check=True,
                        capture_output=True, timeout=120)
+        os.chmod(tmp, 0o700)        # the linker applies the umask
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
@@ -138,14 +162,20 @@ def _load(path: Path):
 
 @lru_cache(maxsize=1)
 def kernel():
-    """The loaded ``t1000_replay`` function, or None. A cached library
-    that fails to load is rebuilt once."""
+    """The loaded ``t1000_replay`` function, or None. Only a
+    :func:`_private` directory is built into or loaded from, and only a
+    :func:`_private` library is loaded; a cached library that is not,
+    or that fails to load, is rebuilt once."""
     name = f"replay-{cache_key()[:32]}.so"
     cc = compiler()
     for directory in cache_dirs():
         path = directory / name
         try:
-            if path.exists():
+            if cc is not None:
+                directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+            if not _private(directory, True):
+                continue
+            if _private(path, False):
                 try:
                     return _load(path)
                 except (OSError, AttributeError):

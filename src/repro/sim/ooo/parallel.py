@@ -17,37 +17,58 @@ import pickle
 import signal
 import sys
 import threading
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.obs import get_recorder
 
-#: What building one pre-pass costs, in replays of the same trace.
-#: Measured on a 2-core Intel Xeon VM under CPython 3.11 with the
-#: 194k-instruction ``unepic@2`` selective trace, medians of 15 runs
-#: each: a pre-pass (``build_prepass``, Python) takes 87-102 ms, about
-#: 450-530 ns per instruction, and a replay through the native kernel,
-#: simulator construction included, 5.4-5.8 ms, about 29 ns per
-#: instruction, on both a 2-PFU and an unlimited-PFU machine. On fresh
-#: 10k-instruction prefixes, two pre-passes and two replays took
-#: 13.0 ms serially, so a pre-pass is ~18 replays at either length.
-#: (With the generated Python replay loop a pre-pass cost about half a
-#: replay.)
-PREPASS_COST = 18
+class GridCosts(NamedTuple):
+    """How one replay path weighs a grid: ``replay`` per configuration
+    and ``prepass`` per pre-pass built, and ``floor``, the work (trace
+    length × :func:`grid_cost`) below which an automatic (``jobs=None``)
+    call stays serial. The three are in one unit, chosen per path so
+    that both weights are whole numbers."""
 
-#: Below this much work (trace length × :func:`grid_cost`, i.e.
-#: instruction replays plus ``PREPASS_COST`` per pre-pass instruction
-#: built) an automatic (``jobs=None``) call stays serial. Measured like
-#: ``PREPASS_COST``, 15 alternating serial/split runs per point:
-#: splitting 2 replays of the full trace (388k: 11.6 ms serial,
-#: 18.1 ms split) lost 13 of 15 runs and 4 replays (776k: 22.4 ms,
-#: 18.7 ms) won 12 of 15, so a split's fixed cost (fork, copy-on-write
-#: faults, pickling the stats back) is ~7-12 ms. On fresh prefixes with
-#: two pre-passes and two replays, the split lost at 10k instructions
-#: (380k: 13.0 ms, 14.8 ms, won 5/15) and won at 20k (760k: 23.9 ms,
-#: 21.6 ms, won 10/15). The split breaks even at ~550k either way; the
-#: floor sits at about twice that, where a split saves about as much as
-#: it pays.
-WORK_FLOOR = 1_000_000
+    replay: int
+    prepass: int
+    floor: int
+
+
+#: The native kernel, in replays. Measured on a 2-core Intel Xeon VM
+#: under CPython 3.11 with the 194k-instruction ``unepic@2`` selective
+#: trace, medians of 15 runs each: a pre-pass (``build_prepass``,
+#: Python) takes 87-102 ms, about 450-530 ns per instruction, and a
+#: replay through the kernel, simulator construction included,
+#: 5.4-5.8 ms, about 29 ns per instruction, on both a 2-PFU and an
+#: unlimited-PFU machine. On fresh 10k-instruction prefixes, two
+#: pre-passes and two replays took 13.0 ms serially, so a pre-pass is
+#: ~18 replays at either length. The floor, same method, 15 alternating
+#: serial/split runs per point: splitting 2 replays of the full trace
+#: (388k: 11.6 ms serial, 18.1 ms split) lost 13 of 15 runs and 4
+#: replays (776k: 22.4 ms, 18.7 ms) won 12 of 15, so a split's fixed
+#: cost (fork, copy-on-write faults, pickling the stats back) is
+#: ~7-12 ms. On fresh prefixes with two pre-passes and two replays, the
+#: split lost at 10k instructions (380k: 13.0 ms, 14.8 ms, won 5/15) and
+#: won at 20k (760k: 23.9 ms, 21.6 ms, won 10/15). The split breaks even
+#: at ~550k either way; the floor sits at about twice that, where a
+#: split saves about as much as it pays.
+NATIVE = GridCosts(replay=1, prepass=18, floor=1_000_000)
+
+#: The generated Python loop (no compiler, or a ``record_window``), in
+#: half replays: on the same trace and VM a Python replay takes
+#: ~187 ms and a pre-pass 87-102 ms, about half a replay. The floor is
+#: 50,000 instruction replays: with 2 configurations, medians of 41
+#: alternating serial/split runs, the split broke even at 12k
+#: instructions per configuration (24k replays: 21.4 ms serial,
+#: 18.8 ms split) and, re-measured on fresh prefixes once the loop was
+#: specialised to the machine, at 10k (20k replays: 35.0 ms, 34.7 ms);
+#: the floor sits at about twice that.
+PYTHON = GridCosts(replay=2, prepass=1, floor=100_000)
+
+#: The reference loop (``sim_fast_path=False``, a bimodal predictor,
+#: ``REPRO_SIM_REFERENCE=1``), in replays: it builds no pre-pass, and a
+#: replay costs about 3x a Python one, so the Python loop's floor is
+#: conservative here.
+REFERENCE = GridCosts(replay=1, prepass=0, floor=50_000)
 
 
 def usable_cores() -> int:
@@ -83,10 +104,11 @@ def _fork_safe() -> bool:
     )
 
 
-def worker_count(jobs: int | None, n_configs: int, work: int) -> int:
+def worker_count(jobs: int | None, n_configs: int, work: int,
+                 floor: int) -> int:
     """Processes for a grid of ``n_configs`` doing ``work`` (see
-    :data:`WORK_FLOOR`). ``jobs=None`` is automatic: every usable core,
-    once the work clears :data:`WORK_FLOOR`. An explicit ``jobs`` skips
+    :class:`GridCosts`). ``jobs=None`` is automatic: every usable core,
+    once the work clears ``floor``. An explicit ``jobs`` skips
     the floor. Either way the count is capped at the usable cores and
     the number of configurations, and is 1 whenever forking is unsafe
     (:func:`_fork_safe`)."""
@@ -94,7 +116,7 @@ def worker_count(jobs: int | None, n_configs: int, work: int) -> int:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if n_configs < 2 or jobs == 1:
         return 1
-    if jobs is None and work < WORK_FLOOR:
+    if jobs is None and work < floor:
         return 1
     if not _fork_safe():
         return 1
@@ -103,9 +125,10 @@ def worker_count(jobs: int | None, n_configs: int, work: int) -> int:
 
 
 def grid_cost(labels: Sequence[int], free_label: int | None,
-              start: int = 0, end: int | None = None) -> int:
+              costs: GridCosts, start: int = 0,
+              end: int | None = None) -> int:
     """Cost of replaying positions ``start..end`` of a grid in one
-    process, in replays: one per position plus :data:`PREPASS_COST` per
+    process: ``costs.replay`` per position plus ``costs.prepass`` per
     distinct pre-pass it must build.
 
     ``labels`` is each position's pre-pass group, non-decreasing. A
@@ -117,11 +140,12 @@ def grid_cost(labels: Sequence[int], free_label: int | None,
     builds = labels[end - 1] - labels[start] + 1
     if labels[start] == free_label:
         builds -= 1
-    return end - start + PREPASS_COST * builds
+    return costs.replay * (end - start) + costs.prepass * builds
 
 
 def split_grid(
-    labels: Sequence[int], free_label: int | None, procs: int
+    labels: Sequence[int], free_label: int | None, procs: int,
+    costs: GridCosts,
 ) -> list[tuple[int, int]]:
     """Cut positions ``0..len(labels)`` into at most ``procs`` contiguous
     ``(start, end)`` slices with the smallest largest
@@ -133,7 +157,7 @@ def split_grid(
         start = 0
         while start < n:
             end = start
-            while end < n and grid_cost(labels, free_label,
+            while end < n and grid_cost(labels, free_label, costs,
                                         start, end + 1) <= limit:
                 end += 1
             if end == start or len(slices) == procs:
@@ -142,7 +166,7 @@ def split_grid(
             start = end
         return slices
 
-    lo, hi = 0, grid_cost(labels, free_label)
+    lo, hi = 0, grid_cost(labels, free_label, costs)
     while lo < hi:
         mid = (lo + hi) // 2
         if greedy(mid) is None:

@@ -31,7 +31,7 @@ from collections import Counter
 from contextlib import nullcontext
 from functools import lru_cache
 from math import ceil
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.errors import SimulationError
 from repro.isa.encoding import TEXT_BASE
@@ -515,6 +515,18 @@ def _decode(program: Program) -> tuple:
     return tables
 
 
+def _fast_eligible(cfg: MachineConfig) -> bool:
+    """The fast path requires the paper's perfect branch prediction:
+    with a bimodal predictor, fetch redirects change the I-cache access
+    sequence, so cache latencies cannot be precomputed from the trace
+    alone."""
+    if not cfg.sim_fast_path:
+        return False
+    if cfg.branch_predictor != "perfect":
+        return False
+    return os.environ.get("REPRO_SIM_REFERENCE", "") not in ("1", "true")
+
+
 class OoOSimulator:
     """Timing simulator for one program (reusable across traces only by
     constructing a new instance — cache and PFU state are per-run)."""
@@ -632,7 +644,7 @@ class OoOSimulator:
         else the reference loop. Both produce identical :class:`SimStats`
         (verified by differential tests); the fast path bounds the
         per-cycle resource bookkeeping to O(horizon) memory."""
-        if self._fast_eligible():
+        if _fast_eligible(self.config):
             horizon = self._initial_horizon()
             while horizon <= _MAX_HORIZON:
                 stats = self._simulate_fast(trace, record_window, obs, horizon)
@@ -640,17 +652,6 @@ class OoOSimulator:
                     return stats
                 horizon *= 8
         return self._simulate_reference(trace, record_window, obs)
-
-    def _fast_eligible(self) -> bool:
-        """The fast path requires the paper's perfect branch prediction:
-        with a bimodal predictor, fetch redirects change the I-cache
-        access sequence, so cache latencies cannot be precomputed from
-        the trace alone."""
-        if not self.config.sim_fast_path:
-            return False
-        if self.config.branch_predictor != "perfect":
-            return False
-        return os.environ.get("REPRO_SIM_REFERENCE", "") not in ("1", "true")
 
     def _initial_horizon(self) -> int:
         """Ring-buffer size: a power of two safely above the largest
@@ -832,7 +833,7 @@ class OoOSimulator:
         loop)."""
         cfg = self.config
         pre = self._prepass(trace, obs)
-        if record_window is None:
+        if record_window is None and native.available():
             got = self._simulate_native(trace, pre, obs, horizon)
             if got is native.OVERFLOW:
                 return None
@@ -1250,6 +1251,19 @@ def _prepass_groups(
     return groups
 
 
+def _grid_costs(
+    configs: Sequence[MachineConfig], record_window: tuple[int, int] | None
+) -> parallel.GridCosts:
+    """The split weights of the replay path a grid takes. A grid with
+    any configuration on the reference loop is weighed as reference:
+    those replays dominate it."""
+    if not all(map(_fast_eligible, configs)):
+        return parallel.REFERENCE
+    if record_window is None and native.available():
+        return parallel.NATIVE
+    return parallel.PYTHON
+
+
 def simulate_many(
     program: Program,
     trace: DynTrace,
@@ -1273,9 +1287,10 @@ def simulate_many(
 
     Several configurations are split across forked processes
     (:mod:`repro.sim.ooo.parallel`): contiguous slices of that grouping,
-    balanced by replays and pre-pass builds, one per usable core.
-    ``jobs=None`` forks only when the work clears
-    :data:`~repro.sim.ooo.parallel.WORK_FLOOR`; ``jobs=N`` caps the
+    balanced by replays and pre-pass builds as weighed on the replay path
+    the grid takes (:class:`~repro.sim.ooo.parallel.GridCosts`), one per
+    usable core. ``jobs=None`` forks only when the work clears that
+    path's floor; ``jobs=N`` caps the
     processes at N (``jobs=1`` is serial). Forking never happens off the
     main thread, with other threads alive, inside a ``multiprocessing``
     child, or with a live :mod:`repro.obs` recorder. Results are
@@ -1303,13 +1318,15 @@ def simulate_many(
     cached_key = getattr(trace, _PREPASS_ATTR, (None,))[0]
     free = next((g for g, (key, _) in enumerate(groups)
                  if key == cached_key), None)
+    costs = _grid_costs(configs, record_window)
     procs = parallel.worker_count(
         jobs, len(configs),
-        len(trace) * parallel.grid_cost(labels, free) if configs else 0)
+        len(trace) * parallel.grid_cost(labels, free, costs) if configs
+        else 0, costs.floor)
     if procs == 1:
         stats = run(order)
     else:
-        slices = parallel.split_grid(labels, free, procs)
+        slices = parallel.split_grid(labels, free, procs, costs)
         # the parent replays the slice that starts on the cached
         # pre-pass (run_forked runs the first shard here), so that
         # pre-pass is still cached for the next call on this trace
@@ -1319,11 +1336,10 @@ def simulate_many(
         # children inherit the loaded kernel and the replay tables
         # copy-on-write
         first = OoOSimulator(program, configs[order[0]], ext_defs=ext_defs)
-        if first._fast_eligible():
-            if record_window is None and native.available():
-                first._native_tab(trace)
-            else:
-                first._replay_tab(trace)
+        if costs is parallel.NATIVE:
+            first._native_tab(trace)
+        elif costs is parallel.PYTHON:
+            first._replay_tab(trace)
         stats = [s for part in parallel.run_forked(shards, run) for s in part]
     out: list = [None] * len(configs)
     for i, s in zip(order, stats):

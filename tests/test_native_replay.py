@@ -7,12 +7,15 @@ the kernel cannot take in place — negative or out-of-range static
 indices, an address column shorter than the index column, list
 columns — must be refused before its loop runs, so the Python path
 answers (or raises) exactly as it did. A missing compiler, a failed
-build and a corrupt cached library all fall back to the Python loop.
+build and a corrupt cached library all fall back to the Python loop. A
+library in a directory another user owns or can write to, or one that
+is itself writable by others or a symlink, is never loaded.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 from array import array
 from functools import lru_cache
 
@@ -195,7 +198,7 @@ def test_cache_location_and_key(monkeypatch, tmp_path):
     monkeypatch.delenv("T1000_CACHE_DIR")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     assert native.cache_dirs()[0] == tmp_path / "xdg" / "t1000" / "native"
-    assert native.cache_dirs()[-1].name == "native"     # per-user temp
+    assert native.cache_dirs()[-1].name == f"t1000-native-{os.getuid()}"
     key = native.cache_key()
     monkeypatch.setattr(native, "CFLAGS", native.CFLAGS + ("-g",))
     assert native.cache_key() != key
@@ -219,7 +222,7 @@ def test_failed_build_falls_back(monkeypatch, tmp_path, fresh_kernel,
     failing.write_text("#!/bin/sh\nexit 1\n")
     failing.chmod(0o755)
     _fall_back(monkeypatch, tmp_path, str(failing))
-    assert calls == [None]
+    assert calls == []                 # the kernel was never asked
     assert not list(tmp_path.glob("replay-*"))     # no temp file left
 
 
@@ -240,3 +243,70 @@ def test_corrupt_cached_library_falls_back_or_is_rebuilt(
     assert native.kernel() is not None            # rebuilt in place
     assert cached.read_bytes()[:4] == b"\x7fELF"
     assert b"not really" not in cached.read_bytes()
+
+
+@pytest.mark.parametrize("case", [
+    "foreign_dir", "group_writable_dir", "world_writable_dir",
+    "writable_library", "symlinked_library",
+])
+def test_planted_library_is_never_loaded(case, monkeypatch, tmp_path,
+                                         fresh_kernel):
+    directory = tmp_path / "native"
+    directory.mkdir(mode=0o700)
+    planted = directory / f"replay-{native.cache_key()[:32]}.so"
+    if case == "symlinked_library":
+        elsewhere = tmp_path / "elsewhere.so"
+        elsewhere.write_bytes(b"planted")
+        planted.symlink_to(elsewhere)
+    else:
+        planted.write_bytes(b"planted")
+        planted.chmod(0o644)
+    if case == "foreign_dir":
+        uid = os.getuid()
+        monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+    elif case == "group_writable_dir":
+        directory.chmod(0o770)
+    elif case == "world_writable_dir":
+        directory.chmod(0o777)
+    elif case == "writable_library":
+        planted.chmod(0o666)
+    cc = native.compiler()
+    loaded = []
+    load = native._load
+    monkeypatch.setattr(native, "_load",
+                        lambda path: loaded.append(path) or load(path))
+    monkeypatch.setattr(native, "cache_dirs", lambda: [directory])
+    monkeypatch.setattr(native, "compiler", lambda: None)
+    assert native.kernel() is None
+    assert loaded == []
+    if cc is None:
+        return
+    # with a compiler: a refused directory is not built into either; a
+    # refused library is rebuilt private, whatever the umask
+    native.kernel.cache_clear()
+    monkeypatch.setattr(native, "compiler", lambda: cc)
+    umask = os.umask(0o002)
+    try:
+        got = native.kernel()
+    finally:
+        os.umask(umask)
+    if case.endswith("_dir"):
+        assert got is None and loaded == []
+        assert [p.name for p in directory.iterdir()] == [planted.name]
+    else:
+        assert got is not None and loaded == [planted]
+        assert native._private(planted, False)
+
+
+def test_cache_directory_is_created_private(monkeypatch, tmp_path,
+                                            fresh_kernel):
+    if native.compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    directory = tmp_path / "cache" / "native"
+    monkeypatch.setattr(native, "cache_dirs", lambda: [directory])
+    umask = os.umask(0o002)
+    try:
+        assert native.kernel() is not None
+    finally:
+        os.umask(umask)
+    assert directory.stat().st_mode & 0o777 == 0o700

@@ -27,7 +27,9 @@ from repro.serve import protocol
 from repro.serve.ops import OpRunner
 from repro.sim.cache import HierarchyConfig
 from repro.sim.functional import FunctionalSimulator
-from repro.sim.ooo import MachineConfig, OoOSimulator, parallel, simulate_many
+from repro.sim.ooo import (
+    MachineConfig, OoOSimulator, native, parallel, simulate_many,
+)
 from repro.sim.trace import DynTrace
 from repro.workloads import WORKLOAD_NAMES
 
@@ -215,8 +217,9 @@ def _big_grid():
     program, defs, trace = _rewritten("unepic")
     configs = GRID[:8]
     # two hierarchies: whichever pre-pass is cached, one is built
-    assert len(trace) * (len(configs) + parallel.PREPASS_COST) \
-        >= parallel.WORK_FLOOR
+    native_costs = parallel.NATIVE
+    assert len(trace) * (len(configs) + native_costs.prepass) \
+        >= native_costs.floor
     return program, defs, trace, configs
 
 
@@ -273,8 +276,8 @@ def test_automatic_policy_stays_serial(case, monkeypatch, forks):
         program, defs, trace = _rewritten("unepic")
         trace = DynTrace(indices=trace.indices, addrs=trace.addrs)
         configs = GRID[:1]
-        assert len(trace) * parallel.grid_cost([0], None) \
-            >= parallel.WORK_FLOOR
+        assert len(trace) * parallel.grid_cost([0], None, parallel.NATIVE) \
+            >= parallel.NATIVE.floor
         want = simulate_many(program, trace, configs, ext_defs=defs, jobs=1)
         got = run()
     elif case == "live_recorder":      # stall cycles are recorded too
@@ -303,8 +306,9 @@ def test_automatic_policy_stays_serial(case, monkeypatch, forks):
     else:
         short = DynTrace(indices=trace.indices[:1000],
                          addrs=trace.addrs[:1000])
-        assert len(short) * (len(configs) + 2 * parallel.PREPASS_COST) \
-            < parallel.WORK_FLOOR
+        for costs in (parallel.NATIVE, parallel.PYTHON):
+            assert len(short) * parallel.grid_cost(
+                [0] * 4 + [1] * 4, None, costs) < costs.floor
         want = simulate_many(program, short, configs, ext_defs=defs, jobs=1)
         got = simulate_many(program, short, configs, ext_defs=defs)
     assert not forks
@@ -319,17 +323,19 @@ def test_explicit_jobs_is_capped(monkeypatch, forks):
     monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
     simulate_many(program, trace, configs[:2], ext_defs=defs, jobs=64)
     assert len(forks) == 1                 # two cores, two configs
-    assert parallel.worker_count(64, 3, 1) == 2
-    assert parallel.worker_count(64, 1, 10**9) == 1
-    assert parallel.worker_count(1, 8, 10**9) == 1
-    assert parallel.worker_count(None, 8, 1) == 1
-    assert parallel.worker_count(None, 8, parallel.WORK_FLOOR) == 2
+    floor = parallel.NATIVE.floor
+    assert parallel.worker_count(64, 3, 1, floor) == 2
+    assert parallel.worker_count(64, 1, 10**9, floor) == 1
+    assert parallel.worker_count(1, 8, 10**9, floor) == 1
+    assert parallel.worker_count(None, 8, 1, floor) == 1
+    assert parallel.worker_count(None, 8, floor, floor) == 2
+    assert parallel.worker_count(None, 8, floor - 1, floor) == 1
     with pytest.raises(ValueError):
-        parallel.worker_count(0, 8, 10**9)
+        parallel.worker_count(0, 8, 10**9, floor)
     # counts only: nothing is forked below
     monkeypatch.setattr(parallel, "usable_cores", lambda: 4)
-    assert parallel.worker_count(64, 3, 1) == 3     # capped at configs
-    assert parallel.worker_count(None, 2, 10**9) == 2
+    assert parallel.worker_count(64, 3, 1, floor) == 3  # capped at configs
+    assert parallel.worker_count(None, 2, 10**9, floor) == 2
     _assert_reaped(forks)
 
 
@@ -338,25 +344,74 @@ def test_split_grid_balances_replays_and_prepass_builds():
     # sharing the main pre-pass, which is cached on the trace: the
     # alternative builds its own, the 8 replay the inherited one
     labels = [0] + [1] * 8
-    assert parallel.PREPASS_COST == 18
-    assert parallel.split_grid(labels, 1, 2) == [(0, 1), (1, 9)]
-    assert parallel.split_grid(labels, None, 2) == [(0, 1), (1, 9)]
+    nat, py, ref = parallel.NATIVE, parallel.PYTHON, parallel.REFERENCE
+    assert nat.prepass == 18 and nat.replay == 1
+    assert parallel.split_grid(labels, 1, 2, nat) == [(0, 1), (1, 9)]
+    assert parallel.split_grid(labels, None, 2, nat) == [(0, 1), (1, 9)]
     # the alternative cached instead: each shard builds the main one
-    assert parallel.split_grid(labels, 0, 2) == [(0, 5), (5, 9)]
-    assert parallel.grid_cost(labels, 0, 0, 5) == 5 + 18
-    assert parallel.grid_cost(labels, 0, 5, 9) == 4 + 18
-    assert parallel.split_grid(labels, None, 1) == [(0, 9)]
-    assert parallel.split_grid([0, 0, 0, 1, 1], None, 2) == [(0, 3), (3, 5)]
-    assert parallel.split_grid([0, 1], None, 4) == [(0, 1), (1, 2)]
+    assert parallel.split_grid(labels, 0, 2, nat) == [(0, 5), (5, 9)]
+    assert parallel.grid_cost(labels, 0, nat, 0, 5) == 5 + 18
+    assert parallel.grid_cost(labels, 0, nat, 5, 9) == 4 + 18
+    assert parallel.split_grid(labels, None, 1, nat) == [(0, 9)]
+    # the Python loop: a pre-pass is half a replay
+    assert (py.replay, py.prepass) == (2, 1)
+    assert parallel.split_grid(labels, 1, 2, py) == [(0, 4), (4, 9)]
+    assert parallel.grid_cost(labels, 1, py, 0, 4) == 2 * 4 + 2
+    # the reference loop builds no pre-pass
+    assert ref.prepass == 0
+    assert parallel.split_grid(labels, None, 2, ref) == [(0, 5), (5, 9)]
+    for costs in (nat, py, ref):
+        assert parallel.split_grid([0, 0, 0, 1, 1], None, 2, costs) \
+            == [(0, 3), (3, 5)]
+        assert parallel.split_grid([0, 1], None, 4, costs) \
+            == [(0, 1), (1, 2)]
     # the cached pre-pass is free only as a shard's first group
-    assert parallel.split_grid([0, 1, 2], 1, 2) == [(0, 1), (1, 3)]
-    assert parallel.split_grid([0, 1, 2], None, 2) == [(0, 2), (2, 3)]
+    assert parallel.split_grid([0, 1, 2], 1, 2, nat) == [(0, 1), (1, 3)]
+    assert parallel.split_grid([0, 1, 2], None, 2, nat) == [(0, 2), (2, 3)]
     for procs in (1, 2, 3):
-        slices = parallel.split_grid([0, 0, 1, 1, 1, 2], 2, procs)
+        slices = parallel.split_grid([0, 0, 1, 1, 1, 2], 2, procs, nat)
         assert len(slices) <= procs
         assert [a for a, _ in slices][0] == 0 and slices[-1][1] == 6
         assert all(a < b for a, b in slices)
         assert all(b == c for (_, b), (c, _) in zip(slices, slices[1:]))
+
+
+@pytest.mark.parametrize("path", ["native", "python", "reference"])
+def test_split_follows_the_replay_path(path, monkeypatch):
+    """The split weights and the work floor are those of the path the
+    grid replays on: on replay_grid's shape with the main pre-pass
+    cached, the native kernel gives the parent the 8 main configurations
+    and keeps a 24k-instruction grid serial, while the Python loop (a
+    pre-pass is half a replay) and the reference loop (no pre-pass)
+    split it as they always did."""
+    if path == "native" and not native.available():
+        pytest.skip("native kernel unavailable")
+    if path == "python":
+        monkeypatch.setattr(native, "ENABLED", False)
+    elif path == "reference":
+        monkeypatch.setenv("REPRO_SIM_REFERENCE", "1")
+    program, defs, trace = _rewritten("gsm_encode")
+    trace = DynTrace(indices=trace.indices, addrs=trace.addrs)
+    configs = [GRID[1]] + GRID[0::2]      # [alt dl1] + 8 main
+    # serial: builds the alternative pre-pass, then caches the main one
+    want = simulate_many(program, trace, configs, ext_defs=defs, jobs=1)
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+    shards = []
+
+    def run_here(parts, run):
+        shards.append(parts)
+        return [run(part) for part in parts]
+
+    monkeypatch.setattr(parallel, "run_forked", run_here)
+    got = simulate_many(program, trace, configs, ext_defs=defs, jobs=2)
+    assert [_dump(s) for s in got] == [_dump(s) for s in want]
+    split = {"native": [list(range(1, 9)), [0]],
+             "python": [list(range(4, 9)), [0, 1, 2, 3]],
+             "reference": [[0, 1, 2, 3, 4], [5, 6, 7, 8]]}[path]
+    assert shards == [split]
+    got = simulate_many(program, trace, configs, ext_defs=defs)
+    assert [_dump(s) for s in got] == [_dump(s) for s in want]
+    assert shards == ([split] if path == "native" else [split, split])
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +424,8 @@ def test_served_batch_never_forks(monkeypatch):
     program, defs, trace, configs = _big_grid()
     monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
     assert parallel.worker_count(None, len(configs),
-                                 len(trace) * len(configs)) == 2
+                                 len(trace) * len(configs),
+                                 parallel.NATIVE.floor) == 2
 
     def no_fork():
         raise RuntimeError("serve must not fork")
