@@ -14,7 +14,7 @@ the modelling assumptions the paper states:
 import pytest
 from conftest import write_result
 
-from repro.extinst import greedy_select
+from repro.extinst import SelectionParams, greedy_select
 from repro.extinst.extraction import ExtractionParams
 from repro.harness.runner import get_lab
 from repro.sim.functional import FunctionalSimulator
@@ -25,7 +25,7 @@ WORKLOADS = ("gsm_encode", "mpeg2_decode", "epic")
 
 
 def _timed(lab, machine: MachineConfig):
-    program, defs = lab.rewritten("selective", 2)
+    program, defs = lab.rewritten(SelectionParams("selective", 2))
     trace = FunctionalSimulator(program, ext_defs=defs).run(
         collect_trace=True
     ).trace

@@ -8,6 +8,7 @@ into extended instructions and the cycles they save.
 
 from conftest import write_result
 
+from repro.extinst import SelectionParams
 from repro.extinst.validate import dynamic_instruction_reduction
 from repro.harness.runner import get_lab
 from repro.utils.tables import format_table
@@ -19,8 +20,8 @@ def test_dynamic_folding_fractions(benchmark):
         rows = []
         for name in WORKLOAD_NAMES:
             lab = get_lab(name)
-            greedy_prog, greedy_defs = lab.rewritten("greedy", None)
-            sel_prog, sel_defs = lab.rewritten("selective", 2)
+            greedy_prog, greedy_defs = lab.rewritten(SelectionParams("greedy"))
+            sel_prog, sel_defs = lab.rewritten(SelectionParams("selective", 2))
             greedy_cut = dynamic_instruction_reduction(
                 lab.program, greedy_prog, greedy_defs
             )

@@ -14,6 +14,7 @@ more stringent test.
 
 from conftest import write_result
 
+from repro.extinst import SelectionParams
 from repro.harness.runner import get_lab
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.ooo import MachineConfig, OoOSimulator
@@ -39,7 +40,7 @@ def test_simple_vs_superscalar_pfu_impact(benchmark):
         rows = []
         for name in WORKLOADS:
             lab = get_lab(name)
-            rewritten, defs = lab.rewritten("selective", 2)
+            rewritten, defs = lab.rewritten(SelectionParams("selective", 2))
 
             wide_base = lab.baseline()
             wide_pfu = lab.run("selective", 2, 10)

@@ -7,6 +7,7 @@ and selective-algorithm speedup on the default 2-PFU T1000.
 Run with: ``python examples/mediabench_tour.py``
 """
 
+from repro.extinst import SelectionParams
 from repro.harness.runner import WorkloadLab
 from repro.sim import run_program
 from repro.utils.tables import format_table
@@ -22,7 +23,7 @@ def main() -> None:
 
         lab = WorkloadLab(name, scale=1)
         experiment = lab.run("selective", 2, 10)
-        selection = lab.selection("selective", 2)
+        selection = lab.selection(SelectionParams("selective", 2))
         rows.append([
             name,
             result.steps,

@@ -11,6 +11,7 @@ Run with: ``python examples/pipeline_visualization.py [workload]``
 
 import sys
 
+from repro.extinst import SelectionParams
 from repro.harness.runner import WorkloadLab
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.ooo import MachineConfig, OoOSimulator
@@ -43,7 +44,7 @@ def main() -> None:
     baseline = record(lab.program, None, MachineConfig(), skip=600, count=18)
     show(f"{name} — baseline superscalar", lab.program, baseline)
 
-    rewritten, defs = lab.rewritten("selective", 2)
+    rewritten, defs = lab.rewritten(SelectionParams("selective", 2))
     # centre the window on ext executions (in steady state, not cold-start)
     trace = FunctionalSimulator(rewritten, ext_defs=defs).run(
         collect_trace=True

@@ -50,6 +50,7 @@ from repro.engine.scheduler import (
 )
 from repro.engine.store import (
     SCHEMA_VERSION,
+    SERVE_SCALE,
     ArtifactKey,
     ArtifactStore,
     StoreStats,
@@ -57,10 +58,15 @@ from repro.engine.store import (
     machine_from_json,
     machine_to_json,
     make_key,
+    profile_key,
     program_fingerprint,
     read_json,
+    rewrite_key,
+    selection_key,
     stats_from_json,
     stats_to_json,
+    timing_key,
+    trace_key,
     write_json_atomic,
 )
 from repro.engine.telemetry import JobRecord, Telemetry
@@ -72,12 +78,13 @@ __all__ = [
     "ArtifactKey", "ArtifactPipeline", "ArtifactStore", "EngineConfig",
     "EngineError", "ExperimentEngine", "ExperimentResult", "ExperimentSpec",
     "Job", "JobGraph", "JobRecord", "JobResult", "JobTimeoutError",
-    "SCHEMA_VERSION", "Scheduler", "SchedulerError", "StoreStats",
-    "Telemetry", "TransientJobError", "core_machine", "default_engine",
-    "execute_job", "get_default_pipeline", "machine_fingerprint",
-    "machine_from_json", "machine_to_json", "make_key", "make_spec",
-    "program_fingerprint", "read_json", "stats_from_json", "stats_to_json",
-    "write_json_atomic",
+    "SCHEMA_VERSION", "SERVE_SCALE", "Scheduler", "SchedulerError",
+    "StoreStats", "Telemetry", "TransientJobError", "core_machine",
+    "default_engine", "execute_job", "get_default_pipeline",
+    "machine_fingerprint", "machine_from_json", "machine_to_json",
+    "make_key", "make_spec", "profile_key", "program_fingerprint",
+    "read_json", "rewrite_key", "selection_key", "stats_from_json",
+    "stats_to_json", "timing_key", "trace_key", "write_json_atomic",
 ]
 
 

@@ -4,13 +4,13 @@ An :class:`ArtifactPipeline` materialises the T1000 experiment chain
 
     workload -> profile -> selection -> rewrite -> trace -> timing
 
-with two cache levels: an in-process memo (object identity, free) and an
-optional persistent :class:`~repro.engine.store.ArtifactStore` shared
-between processes and invocations.  Every stage key includes the
-workload name, scale, a fingerprint of the built program, and — where it
-matters — the algorithm, selection PFU budget, ``validate`` flag, and
-machine-configuration fingerprint, so artefacts can never leak between
-configurations.
+with two cache levels: an in-process memo and an optional persistent
+:class:`~repro.engine.store.ArtifactStore` shared between processes and
+invocations.  Both are keyed by the one
+:class:`~repro.engine.store.ArtifactKey` the store's per-kind key
+functions build (workload, scale, program fingerprint, and — where it
+matters — the selection request, ``validate`` flag, and machine
+fingerprint), so artefacts can never leak between configurations.
 
 :func:`execute_job` at the bottom is the scheduler's worker entry point:
 a module-level function (picklable for ``ProcessPoolExecutor``) that
@@ -25,11 +25,16 @@ from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable
 
 from repro.engine.store import (
+    ArtifactKey,
     ArtifactStore,
     machine_fingerprint,
     machine_from_json,
-    make_key,
+    profile_key,
     program_fingerprint,
+    rewrite_key,
+    selection_key,
+    timing_key,
+    trace_key,
 )
 from repro.engine.telemetry import Telemetry
 from repro.errors import ConfigurationError
@@ -38,7 +43,6 @@ from repro.extinst import (
     Selection,
     SelectionParams,
     apply_selection,
-    coerce_selection_params,
     run_selection,
     validate_equivalence,
 )
@@ -84,6 +88,17 @@ def core_machine(machine: MachineConfig) -> MachineConfig:
     )
 
 
+def requested_selection(
+    algorithm: str, select_pfus: int | None
+) -> SelectionParams | None:
+    """The selection a flat ``(algorithm, select_pfus)`` record (an
+    experiment spec, a sweep point, a job payload) names; ``None`` for
+    the baseline."""
+    if algorithm == BASELINE:
+        return None
+    return SelectionParams(algorithm=algorithm, select_pfus=select_pfus)
+
+
 def _scoped(**labels):
     """Ambient-label scope for metrics recorded inside a stage compute.
 
@@ -127,6 +142,10 @@ class ExperimentSpec:
             f":val={int(self.validate)}"
         )
 
+    @property
+    def selection(self) -> SelectionParams | None:
+        return requested_selection(self.algorithm, self.select_pfus)
+
 
 def make_spec(
     workload: str,
@@ -141,10 +160,17 @@ def make_spec(
 
     ``algorithm`` may be a :class:`~repro.extinst.SelectionParams`, in
     which case its ``select_pfus`` is authoritative (the ``"same"``
-    convention applies only to the legacy string form).
+    convention applies only to an algorithm name).  A spec travels to
+    engine jobs as algorithm and PFU budget alone, so a request with
+    tuned selection parameters is refused rather than run at defaults.
     """
     if isinstance(algorithm, SelectionParams):
         params = algorithm.normalized()
+        if selection_cache_extras(params):
+            raise ConfigurationError(
+                "experiment specs carry no selection tunables; run tuned "
+                "SelectionParams through WorkloadLab or ArtifactPipeline"
+            )
         algorithm = params.algorithm
         select_pfus = params.select_pfus
     if algorithm == BASELINE:
@@ -197,36 +223,33 @@ class ArtifactPipeline:
         self.store = store
         if store is not None and store.telemetry is not self.telemetry:
             store.telemetry = self.telemetry
-        self._memo: dict[tuple, Any] = {}
-        # traces of validation runs, keyed by rewrite memo key, until
-        # the trace stage takes them
-        self._validated: dict[tuple, DynTrace] = {}
+        self._memo: dict[Any, Any] = {}
+        # traces of validation runs, keyed by rewrite key, until the
+        # trace stage takes them
+        self._validated: dict[ArtifactKey, DynTrace] = {}
 
     # ------------------------------------------------------------------
     # memo / store plumbing
 
-    def _memoized(self, memo_key: tuple, producer: Callable[[], Any]) -> Any:
+    def _memoized(self, memo_key: Any, producer: Callable[[], Any]) -> Any:
         if memo_key not in self._memo:
             self._memo[memo_key] = producer()
         return self._memo[memo_key]
 
-    def _artifact(
-        self, memo_key: tuple, key_args: dict, compute: Callable[[], Any]
-    ) -> Any:
+    def _artifact(self, key: ArtifactKey, compute: Callable[[], Any]) -> Any:
         """Memo -> store -> compute-and-publish, in that order."""
 
         def produce() -> Any:
-            if self.store is not None:
-                key = make_key(**key_args)
-                cached = self.store.get(key)
-                if cached is not None:
-                    return cached
-                value = compute()
-                self.store.put(key, value)
-                return value
-            return compute()
+            if self.store is None:
+                return compute()
+            cached = self.store.get(key)
+            if cached is not None:
+                return cached
+            value = compute()
+            self.store.put(key, value)
+            return value
 
-        return self._memoized(memo_key, produce)
+        return self._memoized(key, produce)
 
     def _sim_counter(self, name: str) -> None:
         self.telemetry.incr(name)
@@ -277,60 +300,41 @@ class ArtifactPipeline:
                 return profile_program(self.program(name, scale))
 
         return self._artifact(
-            ("profile", name, scale),
-            dict(kind="profile", workload=name, scale=scale,
-                 fingerprint=self.fingerprint(name, scale)),
-            compute,
+            profile_key(name, scale, self.fingerprint(name, scale)), compute
         )
 
     def selection(
-        self, name: str, scale: int,
-        algorithm: str | SelectionParams,
-        select_pfus: int | None = None,
+        self, name: str, scale: int, params: SelectionParams
     ) -> Selection:
-        """The cached selection for ``algorithm``.
-
-        ``algorithm`` may be the legacy string (with ``select_pfus``
-        alongside) or a full :class:`~repro.extinst.SelectionParams`.
-        """
-        params = coerce_selection_params(algorithm, select_pfus)
-        algorithm, select_pfus = params.algorithm, params.select_pfus
-        # Non-default tunables (as declared by the algorithm's registry
-        # spec) must key the cache or they would alias with
-        # default-parameter selections; defaults keep legacy keys.
-        extras: dict[str, Any] = selection_cache_extras(params)
+        """The cached selection ``params`` requests."""
 
         def compute() -> Selection:
             self.telemetry.incr("compute.selection")
             profile = self.profile(name, scale)
-            with _scoped(workload=name, algorithm=algorithm):
+            with _scoped(workload=name, algorithm=params.algorithm):
                 return run_selection(profile, params)
 
         return self._artifact(
-            ("selection", name, scale, algorithm, select_pfus,
-             tuple(sorted(extras.items()))),
-            dict(kind="selection", workload=name, scale=scale,
-                 fingerprint=self.fingerprint(name, scale),
-                 algorithm=algorithm, select_pfus=select_pfus, **extras),
+            selection_key(name, scale, self.fingerprint(name, scale), params),
             compute,
         )
 
     def rewrite(
-        self, name: str, scale: int, algorithm: str,
-        select_pfus: int | None, validate: bool,
+        self, name: str, scale: int, params: SelectionParams, validate: bool
     ) -> tuple[Program, dict[int, ExtInstDef]]:
         """The rewritten program and its definitions.
 
         Validation compares against :meth:`original_run` and leaves the
         rewritten program's traced run for :meth:`trace` to take.
         """
-        select_pfus = normalize_select_pfus(algorithm, select_pfus)
-        memo_key = ("rewrite", name, scale, algorithm, select_pfus, validate)
+        key = rewrite_key(
+            name, scale, self.fingerprint(name, scale), params, validate
+        )
 
         def compute() -> tuple[Program, dict[int, ExtInstDef]]:
-            selection = self.selection(name, scale, algorithm, select_pfus)
+            selection = self.selection(name, scale, params)
             reference = self.original_run(name, scale) if validate else None
-            with _scoped(workload=name, algorithm=algorithm):
+            with _scoped(workload=name, algorithm=params.algorithm):
                 program, defs = apply_selection(
                     self.program(name, scale), selection
                 )
@@ -340,43 +344,30 @@ class ArtifactPipeline:
                         self.program(name, scale), program, defs,
                         reference=reference, collect_trace=True,
                     )
-                    self._validated[memo_key] = run.trace
+                    self._validated[key] = run.trace
             return program, defs
 
-        return self._artifact(
-            memo_key,
-            dict(kind="rewrite", workload=name, scale=scale,
-                 fingerprint=self.fingerprint(name, scale),
-                 algorithm=algorithm, select_pfus=select_pfus,
-                 validate=validate),
-            compute,
-        )
+        return self._artifact(key, compute)
 
     def trace(
-        self, name: str, scale: int, algorithm: str = BASELINE,
-        select_pfus: int | None = None, validate: bool = True,
+        self, name: str, scale: int, params: SelectionParams | None = None,
+        validate: bool = True,
     ) -> DynTrace:
-        """Dynamic trace of the (possibly rewritten) program."""
-        if algorithm == BASELINE:
-            params: dict[str, Any] = dict(algorithm=BASELINE)
-            memo_key = ("trace", name, scale, BASELINE)
-        else:
-            select_pfus = normalize_select_pfus(algorithm, select_pfus)
-            params = dict(algorithm=algorithm, select_pfus=select_pfus,
-                          validate=validate)
-            memo_key = ("trace", name, scale, algorithm, select_pfus, validate)
+        """Dynamic trace of the original program (``params`` None) or of
+        the one ``params`` rewrote."""
+        fingerprint = self.fingerprint(name, scale)
 
         def compute() -> DynTrace:
-            if algorithm == BASELINE:
+            if params is None:
                 return self.original_run(name, scale).trace
-            program, defs = self.rewrite(
-                name, scale, algorithm, select_pfus, validate
+            program, defs = self.rewrite(name, scale, params, validate)
+            validated = self._validated.pop(
+                rewrite_key(name, scale, fingerprint, params, validate), None
             )
-            validated = self._validated.pop(("rewrite",) + memo_key[1:], None)
             if validated is not None:
                 return validated
             self._sim_counter("sim.functional")
-            with _scoped(workload=name, algorithm=algorithm):
+            with _scoped(workload=name, algorithm=params.algorithm):
                 result = FunctionalSimulator(program, ext_defs=defs).run(
                     collect_trace=True
                 )
@@ -384,10 +375,7 @@ class ArtifactPipeline:
             return result.trace
 
         return self._artifact(
-            memo_key,
-            dict(kind="trace", workload=name, scale=scale,
-                 fingerprint=self.fingerprint(name, scale), **params),
-            compute,
+            trace_key(name, scale, fingerprint, params, validate), compute
         )
 
     # ------------------------------------------------------------------
@@ -396,81 +384,54 @@ class ArtifactPipeline:
     def baseline_timing(
         self, name: str, scale: int, machine: MachineConfig | None = None
     ) -> SimStats:
-        """Timing of the original program (Figure 2/6 first bar)."""
-        machine = machine or BASELINE_MACHINE
-        mfp = machine_fingerprint(machine)
-
-        def compute() -> SimStats:
-            trace = self.trace(name, scale, BASELINE)
-            self._sim_counter("sim.timing")
-            with _scoped(workload=name, algorithm=BASELINE):
-                return OoOSimulator(
-                    self.program(name, scale), machine
-                ).simulate(trace)
-
-        return self._artifact(
-            ("timing", name, scale, BASELINE, mfp),
-            dict(kind="timing", workload=name, scale=scale,
-                 fingerprint=self.fingerprint(name, scale),
-                 algorithm=BASELINE, machine=mfp),
-            compute,
+        """Timing of the original program (Figure 2/6 first bar) on
+        :func:`core_machine` of ``machine``."""
+        return self.timing_for(
+            name, scale, None, True, machine or BASELINE_MACHINE
         )
 
     def timing_for(
         self,
         name: str,
         scale: int,
-        algorithm: str,
-        select_pfus: int | None,
+        params: SelectionParams | None,
         validate: bool,
         machine: MachineConfig,
     ) -> SimStats:
-        """Timing of the rewritten program on an arbitrary machine.
+        """Timing of the program ``params`` rewrote on any machine.
 
-        The generalisation :meth:`timing` and the design-space explorer
-        (:mod:`repro.explore`) share: any :class:`MachineConfig` field
-        may vary, and the cache key carries the full machine fingerprint
-        — for machines that only vary PFU count and reconfiguration
-        latency the keys are identical to :meth:`timing`'s, so sweeps
-        and figure drivers serve each other's warm artefacts.
+        Experiments (:meth:`run`) and the design-space explorer
+        (:mod:`repro.explore`) share it: any :class:`MachineConfig`
+        field may vary, and the cache key carries the full machine
+        fingerprint, so sweeps and figure drivers serve each other's
+        warm artefacts.  With ``params`` None this is the baseline,
+        measured on :func:`core_machine` of ``machine``.
         """
-        if algorithm == BASELINE:
-            return self.baseline_timing(name, scale, core_machine(machine))
-        select_pfus = normalize_select_pfus(algorithm, select_pfus)
-        mfp = machine_fingerprint(machine)
+
+        if params is None:
+            machine = core_machine(machine)
 
         def compute() -> SimStats:
-            program, defs = self.rewrite(
-                name, scale, algorithm, select_pfus, validate
-            )
-            trace = self.trace(name, scale, algorithm, select_pfus, validate)
+            if params is None:
+                program, defs = self.program(name, scale), None
+                trace = self.trace(name, scale)
+                labels: dict[str, Any] = dict(algorithm=BASELINE)
+            else:
+                program, defs = self.rewrite(name, scale, params, validate)
+                trace = self.trace(name, scale, params, validate)
+                labels = dict(algorithm=params.algorithm,
+                              n_pfus=machine.n_pfus,
+                              reconfig_latency=machine.reconfig_latency)
             self._sim_counter("sim.timing")
-            with _scoped(
-                workload=name, algorithm=algorithm,
-                n_pfus=machine.n_pfus,
-                reconfig_latency=machine.reconfig_latency,
-            ):
+            with _scoped(workload=name, **labels):
                 return OoOSimulator(
                     program, machine, ext_defs=defs
                 ).simulate(trace)
 
         return self._artifact(
-            ("timing", name, scale, algorithm, select_pfus, validate, mfp),
-            dict(kind="timing", workload=name, scale=scale,
-                 fingerprint=self.fingerprint(name, scale),
-                 algorithm=algorithm, select_pfus=select_pfus,
-                 validate=validate, machine=mfp),
+            timing_key(name, scale, self.fingerprint(name, scale),
+                       machine_fingerprint(machine), params, validate),
             compute,
-        )
-
-    def timing(self, spec: ExperimentSpec) -> SimStats:
-        """Timing of the rewritten program on the spec's machine."""
-        machine = MachineConfig(
-            n_pfus=spec.n_pfus, reconfig_latency=spec.reconfig_latency
-        )
-        return self.timing_for(
-            spec.workload, spec.scale, spec.algorithm,
-            spec.select_pfus, spec.validate, machine,
         )
 
     # ------------------------------------------------------------------
@@ -480,8 +441,7 @@ class ArtifactPipeline:
         self,
         name: str,
         scale: int,
-        algorithm: str,
-        select_pfus: int | None,
+        params: SelectionParams | None,
         validate: bool,
         machine: MachineConfig,
     ) -> ExperimentResult:
@@ -493,41 +453,31 @@ class ArtifactPipeline:
         geometry, and a whole PFU x latency sub-grid shares one baseline
         artefact.
         """
-        base = self.baseline_timing(name, scale, core_machine(machine))
-        if algorithm == BASELINE:
+        base = self.baseline_timing(name, scale, machine)
+        if params is None:
             return ExperimentResult(
                 workload=name, algorithm=BASELINE, n_pfus=0,
                 reconfig_latency=0, stats=base,
                 baseline_cycles=base.cycles, n_configs=0,
             )
-        stats = self.timing_for(
-            name, scale, algorithm, select_pfus, validate, machine
-        )
-        selection = self.selection(name, scale, algorithm, select_pfus)
+        stats = self.timing_for(name, scale, params, validate, machine)
+        selection = self.selection(name, scale, params)
         return ExperimentResult(
-            workload=name, algorithm=algorithm, n_pfus=machine.n_pfus,
+            workload=name, algorithm=params.algorithm, n_pfus=machine.n_pfus,
             reconfig_latency=machine.reconfig_latency, stats=stats,
             baseline_cycles=base.cycles, n_configs=selection.n_configs,
         )
 
     def run(self, spec: ExperimentSpec) -> ExperimentResult:
-        """Run one T1000 experiment end to end (cached at every stage)."""
-        base = self.baseline_timing(spec.workload, spec.scale)
-        if spec.algorithm == BASELINE:
-            return ExperimentResult(
-                workload=spec.workload, algorithm=BASELINE, n_pfus=0,
-                reconfig_latency=0, stats=base,
-                baseline_cycles=base.cycles, n_configs=0,
-            )
-        stats = self.timing(spec)
-        selection = self.selection(
-            spec.workload, spec.scale, spec.algorithm, spec.select_pfus
+        """Run one T1000 experiment end to end (cached at every stage):
+        the spec's PFU count and reconfiguration latency on the default
+        core."""
+        params = spec.selection
+        machine = BASELINE_MACHINE if params is None else MachineConfig(
+            n_pfus=spec.n_pfus, reconfig_latency=spec.reconfig_latency
         )
-        return ExperimentResult(
-            workload=spec.workload, algorithm=spec.algorithm,
-            n_pfus=spec.n_pfus, reconfig_latency=spec.reconfig_latency,
-            stats=stats, baseline_cycles=base.cycles,
-            n_configs=selection.n_configs,
+        return self.explore_point(
+            spec.workload, spec.scale, params, spec.validate, machine
         )
 
     def flush(self) -> None:
@@ -581,13 +531,13 @@ def run_stage(pipeline: ArtifactPipeline, payload: dict) -> dict:
             pipeline.baseline_timing(name, scale)
     elif stage == "prepare":
         name, scale = payload["workload"], payload["scale"]
-        algorithm = payload["algorithm"]
-        select_pfus = payload["select_pfus"]
-        selection = pipeline.selection(name, scale, algorithm, select_pfus)
+        params = SelectionParams(algorithm=payload["algorithm"],
+                                 select_pfus=payload["select_pfus"])
+        selection = pipeline.selection(name, scale, params)
         if payload.get("materialize", True):
             validate = payload["validate"]
-            pipeline.rewrite(name, scale, algorithm, select_pfus, validate)
-            pipeline.trace(name, scale, algorithm, select_pfus, validate)
+            pipeline.rewrite(name, scale, params, validate)
+            pipeline.trace(name, scale, params, validate)
         if payload.get("return_selection", False):
             value = selection_to_json(selection)
     elif stage == "experiment":
@@ -595,9 +545,9 @@ def run_stage(pipeline: ArtifactPipeline, payload: dict) -> dict:
         value = pipeline.run(spec)
     elif stage == "explore":
         value = pipeline.explore_point(
-            payload["workload"], payload["scale"], payload["algorithm"],
-            payload["select_pfus"], payload["validate"],
-            machine_from_json(payload["machine"]),
+            payload["workload"], payload["scale"],
+            requested_selection(payload["algorithm"], payload["select_pfus"]),
+            payload["validate"], machine_from_json(payload["machine"]),
         )
     else:
         raise ConfigurationError(f"unknown job stage {stage!r}")

@@ -7,12 +7,15 @@ cached under a digest of everything that determines its value:
     digest = sha256(schema version, kind, workload, scale,
                     program fingerprint, sorted parameters)
 
-The parameters carry the algorithm, selection PFU budget, the
-``validate`` flag, and (for timing artefacts) a fingerprint of the full
-:class:`~repro.sim.ooo.MachineConfig`, so a warm cache can never serve
-an artefact computed at a different workload scale or machine
-configuration.  Bumping :data:`SCHEMA_VERSION` invalidates every old
-entry at once (old digests simply never match again).
+One function per kind (:func:`profile_key`, :func:`selection_key`,
+:func:`rewrite_key`, :func:`trace_key`, :func:`timing_key`) builds every
+key, for the engine pipeline, the explorer and the serve worker alike,
+so an artefact has one name in every layer.  The parameters carry the
+selection request, the ``validate`` flag, and (for timing artefacts) a
+fingerprint of the full :class:`~repro.sim.ooo.MachineConfig`, so a warm
+cache can never serve an artefact computed at a different workload scale
+or machine configuration.  Bumping :data:`SCHEMA_VERSION` invalidates
+every old entry at once (old digests simply never match again).
 
 Layout under the store root::
 
@@ -44,6 +47,8 @@ from typing import Any, Callable
 
 from repro.engine.telemetry import Telemetry
 from repro.errors import ConfigurationError
+from repro.extinst.params import SelectionParams
+from repro.extinst.registry import BASELINE, selection_cache_extras
 from repro.extinst.serialize import selection_from_json, selection_to_json
 from repro.program.program import Program
 from repro.sim.cache.cache import CacheConfig
@@ -177,7 +182,7 @@ class ArtifactKey:
         if self.kind not in KIND_FORMATS:
             raise ConfigurationError(f"unknown artifact kind {self.kind!r}")
 
-    @property
+    @functools.cached_property
     def digest(self) -> str:
         blob = json.dumps(
             [
@@ -213,6 +218,99 @@ def make_key(
         fingerprint=fingerprint,
         params=tuple(sorted(params.items())),
     )
+
+
+# One key function per artefact kind: the only callers of make_key.
+# Each takes the program fingerprint its caller already holds.
+
+#: ``scale`` of a served program's keys.  The serve worker keys a
+#: client-sent program by its name and fingerprint at this scale, with
+#: its own parameters (step cap, ext-defs digest, selection digest) in
+#: place of a selection request; workloads build at scale >= 1, so
+#: served keys never alias the batch engine's.
+SERVE_SCALE = 0
+
+
+@functools.lru_cache(maxsize=256)
+def _selected(params: SelectionParams) -> dict[str, Any]:
+    """Key parameters naming a selection request: the algorithm, its PFU
+    budget, and any tunable off its default (none for defaults).
+
+    Memoized by value (every warm lookup builds a key); callers only
+    unpack the dict, never change it."""
+    params = params.normalized()
+    return dict(algorithm=params.algorithm, select_pfus=params.select_pfus,
+                **selection_cache_extras(params))
+
+
+def _run_of(
+    scale: int, params: SelectionParams | None, validate: bool,
+    extdefs: str | None, max_steps: int | None,
+) -> dict[str, Any]:
+    """Key parameters naming which program a trace or timing runs: the
+    original (``params`` None), the one ``params`` rewrote, or a served
+    program with its ext defs and step cap."""
+    if scale == SERVE_SCALE:
+        return dict(extdefs=extdefs, max_steps=max_steps)
+    if params is None:
+        return dict(algorithm=BASELINE)
+    return dict(_selected(params), validate=validate)
+
+
+def profile_key(
+    workload: str, scale: int, fingerprint: str, *,
+    max_steps: int | None = None,
+) -> ArtifactKey:
+    """A program's profile; a served one is keyed by its step cap too."""
+    served = {"max_steps": max_steps} if scale == SERVE_SCALE else {}
+    return make_key("profile", workload, scale, fingerprint, **served)
+
+
+def selection_key(
+    workload: str, scale: int, fingerprint: str, params: SelectionParams
+) -> ArtifactKey:
+    """The selection ``params`` requests for a workload."""
+    return make_key("selection", workload, scale, fingerprint,
+                    **_selected(params))
+
+
+def rewrite_key(
+    workload: str, scale: int, fingerprint: str,
+    params: SelectionParams | None = None, validate: bool = True, *,
+    selection: str | None = None,
+) -> ArtifactKey:
+    """A program rewritten by the selection ``params`` requests; a served
+    rewrite names its selection by content digest (``selection``)."""
+    chosen = ({"selection": selection} if scale == SERVE_SCALE
+              else _selected(params))
+    return make_key("rewrite", workload, scale, fingerprint,
+                    validate=validate, **chosen)
+
+
+def trace_key(
+    workload: str, scale: int, fingerprint: str,
+    params: SelectionParams | None = None, validate: bool = True, *,
+    extdefs: str | None = None, max_steps: int | None = None,
+) -> ArtifactKey:
+    """The dynamic trace of a workload's original program (``params``
+    None) or of the one ``params`` rewrote; of a served program, keyed
+    by its ext-defs digest and step cap."""
+    return make_key("trace", workload, scale, fingerprint,
+                    **_run_of(scale, params, validate, extdefs, max_steps))
+
+
+def timing_key(
+    workload: str, scale: int, fingerprint: str, machine_fp: str,
+    params: SelectionParams | None = None, validate: bool = True, *,
+    extdefs: str | None = None, max_steps: int | None = None,
+) -> ArtifactKey:
+    """The timing of the program :func:`trace_key` names on the machine
+    whose fingerprint is ``machine_fp`` (for a workload's baseline, that
+    of :func:`~repro.engine.pipeline.core_machine`, so every PFU setting
+    of one core shares it)."""
+    return make_key("timing", workload, scale, fingerprint,
+                    machine=machine_fp,
+                    **_run_of(scale, params, validate, extdefs, max_steps))
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from typing import Any
 
 from repro.engine import ExperimentEngine, default_engine, machine_fingerprint
 from repro.engine.pipeline import core_machine
+from repro.engine.store import timing_key
 from repro.explore.pareto import ParetoReport, PointResult
 from repro.explore.prune import PrunePlan, SkipRecord
 from repro.explore.prune import plan as prune_plan
@@ -79,17 +80,14 @@ def warm_point_ids(
     """
     if engine.store is None:
         return set()
-    warm: set[str] = set()
-    fingerprints: dict[tuple[str, int], str] = {}
-    for point in points:
-        key = (point.workload, point.scale)
-        fingerprint = fingerprints.get(key)
-        if fingerprint is None:
-            fingerprint = engine.pipeline.fingerprint(*key)
-            fingerprints[key] = fingerprint
-        if engine.store.contains(point.timing_key(fingerprint)):
-            warm.add(point.point_id)
-    return warm
+    return {
+        point.point_id for point in points
+        if engine.store.contains(timing_key(
+            point.workload, point.scale,
+            engine.pipeline.fingerprint(point.workload, point.scale),
+            point.machine_fp, point.selection, point.validate,
+        ))
+    }
 
 
 # ----------------------------------------------------------------------
@@ -121,14 +119,16 @@ def _run_points_engine(
     }
     areas: dict[tuple, int] = {}
     for point in points:
-        if point.algorithm == "baseline":
+        params = point.selection
+        if params is None:
             continue
         key = (
             point.workload, point.scale, point.algorithm, point.select_pfus
         )
         if key not in areas:
-            selection = engine.pipeline.selection(*key)
-            areas[key] = selection_area(selection)
+            areas[key] = selection_area(engine.pipeline.selection(
+                point.workload, point.scale, params
+            ))
     return measured, areas
 
 

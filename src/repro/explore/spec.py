@@ -5,8 +5,8 @@ crossed with axes over machine parameters (PFU count, reconfiguration
 latency, RUU size, issue width, cache geometry, ...) and selection
 parameters (algorithm, PFU budget) — without saying anything about how
 the points get simulated.  ``expand()`` turns it into an ordered,
-deduplicated list of :class:`SweepPoint` objects, each identified by the
-engine store's existing content-addressing scheme, so a sweep and the
+deduplicated list of :class:`SweepPoint` objects, each addressed by the
+same store key function the engine pipeline uses, so a sweep and the
 figure drivers serve each other's warm artefacts.
 
 Spec files are JSON::
@@ -42,13 +42,10 @@ import json
 from dataclasses import dataclass, fields, replace
 from typing import Any, Iterator
 
-from repro.engine.store import (
-    ArtifactKey,
-    machine_fingerprint,
-    machine_to_json,
-    make_key,
-)
+from repro.engine.pipeline import core_machine, requested_selection
+from repro.engine.store import machine_fingerprint, machine_to_json
 from repro.errors import ConfigurationError
+from repro.extinst import SelectionParams
 from repro.extinst.registry import (
     BASELINE,
     SELECTIVE,
@@ -143,23 +140,10 @@ class SweepPoint:
             f":reconf={self.machine.reconfig_latency}{extra}"
         )
 
-    def timing_key(self, fingerprint: str) -> ArtifactKey:
-        """The timing artefact key for this point — byte-identical to
-        the key :class:`~repro.engine.ArtifactPipeline` computes for the
-        same experiment, so warm artefacts are shared both ways."""
-        from repro.engine.pipeline import core_machine
-
-        if self.algorithm == BASELINE:
-            return make_key(
-                "timing", self.workload, self.scale, fingerprint,
-                algorithm=BASELINE,
-                machine=machine_fingerprint(core_machine(self.machine)),
-            )
-        return make_key(
-            "timing", self.workload, self.scale, fingerprint,
-            algorithm=self.algorithm, select_pfus=self.select_pfus,
-            validate=self.validate, machine=self.machine_fp,
-        )
+    @property
+    def selection(self) -> SelectionParams | None:
+        """The point's selection request; ``None`` for a baseline."""
+        return requested_selection(self.algorithm, self.select_pfus)
 
     def to_json(self) -> dict:
         return {
@@ -353,8 +337,6 @@ class SweepSpec:
         every Pareto frontier, and the denominator every other point
         needs anyway.
         """
-        from repro.engine.pipeline import core_machine
-
         points: dict[tuple, SweepPoint] = {}
 
         def add(point: SweepPoint) -> None:

@@ -35,7 +35,6 @@ from repro.extinst.greedy import greedy_select
 from repro.extinst.isegen import isegen_select
 from repro.extinst.params import (
     SelectionParams,
-    coerce_selection_params,
     run_selection,
 )
 from repro.extinst.registry import (
@@ -78,7 +77,6 @@ __all__ = [
     "greedy_select",
     "selective_select",
     "run_selection",
-    "coerce_selection_params",
     "SelectionParams",
     "SelectiveParams",
     "Selection",

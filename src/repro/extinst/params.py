@@ -1,13 +1,12 @@
 """One parameter object for every selection entry point.
 
-Historically each layer spelled "which selection do I want" differently:
-``WorkloadLab.selection(algorithm, select_pfus)``, the engine's
-:func:`~repro.engine.pipeline.make_spec` keyword soup, and the module
-functions :func:`~repro.extinst.greedy.greedy_select` /
-:func:`~repro.extinst.selective.selective_select` each with their own
-tunable dataclass.  :class:`SelectionParams` is the single request shape
-all of them now accept (legacy positional forms keep working for one
-release); :func:`run_selection` is the algorithm-agnostic dispatcher.
+:class:`SelectionParams` is the single request shape every layer
+accepts: the engine pipeline's stages,
+:class:`~repro.harness.runner.WorkloadLab`,
+:func:`~repro.engine.pipeline.make_spec`, and the module functions
+:func:`~repro.extinst.greedy.greedy_select` /
+:func:`~repro.extinst.selective.selective_select`.
+:func:`run_selection` is the algorithm-agnostic dispatcher.
 
 Which algorithms exist — and which of these fields each one reads — is
 the :mod:`repro.extinst.registry`'s business: validation, dispatch and
@@ -20,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError
 from repro.extinst.extraction import ExtractionParams
 from repro.extinst.registry import (
     DEFAULT_GAIN_THRESHOLD,
@@ -94,26 +92,6 @@ class SelectionParams:
         )
 
 
-def coerce_selection_params(
-    algorithm: "str | SelectionParams",
-    select_pfus: int | None = None,
-) -> SelectionParams:
-    """Normalise the legacy ``(algorithm, select_pfus)`` pair.
-
-    Accepts either a ready :class:`SelectionParams` (``select_pfus`` must
-    then be omitted) or the historical string form.
-    """
-    if isinstance(algorithm, SelectionParams):
-        if select_pfus is not None:
-            raise ConfigurationError(
-                "pass select_pfus inside SelectionParams, not alongside it"
-            )
-        return algorithm.normalized()
-    return SelectionParams(
-        algorithm=algorithm, select_pfus=select_pfus
-    ).normalized()
-
-
 def run_selection(
     profile: "ProgramProfile", params: SelectionParams
 ) -> "Selection":
@@ -126,6 +104,5 @@ __all__ = [
     "ALGORITHMS",
     "DEFAULT_GAIN_THRESHOLD",
     "SelectionParams",
-    "coerce_selection_params",
     "run_selection",
 ]

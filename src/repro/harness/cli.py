@@ -33,6 +33,7 @@ import os
 import sys
 
 from repro.engine import ArtifactStore, EngineConfig, ExperimentEngine, make_spec
+from repro.extinst import SelectionParams
 from repro.extinst.registry import (
     BASELINE,
     SELECTIVE,
@@ -572,7 +573,8 @@ def _dispatch(args) -> int:
         if args.algorithm == BASELINE:
             program, defs = lab.program, None
         else:
-            program, defs = lab.rewritten(args.algorithm, args.pfus)
+            program, defs = lab.rewritten(SelectionParams(
+                algorithm=args.algorithm, select_pfus=args.pfus))
         trace = FunctionalSimulator(program, ext_defs=defs).run(
             collect_trace=True
         ).trace

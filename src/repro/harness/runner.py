@@ -20,7 +20,6 @@ from repro.engine.pipeline import (
     make_spec,
 )
 from repro.extinst import Selection, SelectionParams
-from repro.extinst.registry import BASELINE
 from repro.extinst.extdef import ExtInstDef
 from repro.profiling import ProgramProfile
 from repro.program.program import Program
@@ -57,37 +56,21 @@ class WorkloadLab:
     def profile(self) -> ProgramProfile:
         return self.pipeline.profile(self.name, self.scale)
 
-    def selection(
-        self,
-        algorithm: str | SelectionParams,
-        select_pfus: int | None = None,
-    ) -> Selection:
-        """The (cached) selection for a request.
-
-        Accepts a :class:`~repro.extinst.SelectionParams` or the legacy
-        ``(algorithm, select_pfus)`` positional pair.
-        """
-        return self.pipeline.selection(
-            self.name, self.scale, algorithm, select_pfus
-        )
+    def selection(self, params: SelectionParams) -> Selection:
+        """The (cached) selection ``params`` requests."""
+        return self.pipeline.selection(self.name, self.scale, params)
 
     def rewritten(
-        self,
-        algorithm: str | SelectionParams,
-        select_pfus: int | None = None,
+        self, params: SelectionParams
     ) -> tuple[Program, dict[int, ExtInstDef]]:
-        if isinstance(algorithm, SelectionParams):
-            params = algorithm.normalized()
-            algorithm, select_pfus = params.algorithm, params.select_pfus
         return self.pipeline.rewrite(
-            self.name, self.scale, algorithm, select_pfus, self.validate
+            self.name, self.scale, params, self.validate
         )
 
-    def trace(
-        self, algorithm: str = BASELINE, select_pfus: int | None = None
-    ) -> DynTrace:
+    def trace(self, params: SelectionParams | None = None) -> DynTrace:
+        """The original program's trace, or the one ``params`` rewrote."""
         return self.pipeline.trace(
-            self.name, self.scale, algorithm, select_pfus, self.validate
+            self.name, self.scale, params, self.validate
         )
 
     # ------------------------------------------------------------------
@@ -98,9 +81,8 @@ class WorkloadLab:
 
     def timing_sweep(
         self,
-        algorithm: str | SelectionParams,
+        params: SelectionParams,
         machines: "list[MachineConfig] | tuple[MachineConfig, ...]",
-        select_pfus: int | None = None,
     ) -> list[SimStats]:
         """Replay one rewritten trace under many machine configurations.
 
@@ -111,16 +93,13 @@ class WorkloadLab:
         timing artefacts. Results are in ``machines`` order."""
         from repro.sim.ooo import simulate_many
 
-        program, defs = self.rewritten(algorithm, select_pfus)
-        if isinstance(algorithm, SelectionParams):
-            params = algorithm.normalized()
-            algorithm, select_pfus = params.algorithm, params.select_pfus
-        trace = self.trace(algorithm, select_pfus)
+        program, defs = self.rewritten(params)
+        trace = self.trace(params)
         return simulate_many(program, trace, machines, ext_defs=defs)
 
     def run(
         self,
-        algorithm: str,
+        algorithm: str | SelectionParams,
         n_pfus: int | None,
         reconfig_latency: int,
         select_pfus: int | None = "same",  # type: ignore[assignment]

@@ -25,19 +25,19 @@ from typing import Any
 
 from repro.engine.pipeline import ArtifactPipeline
 from repro.engine.store import (
+    SERVE_SCALE,
     ArtifactStore,
     machine_fingerprint,
-    make_key,
+    profile_key,
     program_fingerprint,
+    rewrite_key,
     stats_to_json,
+    timing_key,
+    trace_key,
 )
 from repro.errors import ReproError
 from repro.serve import protocol
 from repro.sim.ooo import MachineConfig
-
-#: ``scale`` value marking serve-originated artefacts in the store (the
-#: batch engine's keys always use the workload's real scale >= 1).
-_SERVE_SCALE = 0
 
 
 def _selection_digest(selection) -> str:
@@ -88,17 +88,8 @@ class OpRunner:
         self._bundles: OrderedDict[str, Any] = OrderedDict()
 
     # ------------------------------------------------------------------
-    # store plumbing (serve artefacts are keyed by program fingerprint,
-    # not workload name — clients send arbitrary programs)
-
-    def _cached(self, kind: str, name: str, fingerprint: str,
-                compute, **params):
-        return self.pipeline._artifact(
-            (kind, "serve", fingerprint, tuple(sorted(params.items()))),
-            dict(kind=kind, workload=name, scale=_SERVE_SCALE,
-                 fingerprint=fingerprint, **params),
-            compute,
-        )
+    # Serve artefacts are keyed by program fingerprint at SERVE_SCALE,
+    # not by workload: clients send arbitrary programs.
 
     def _sim_counter(self, name: str) -> None:
         self.pipeline._sim_counter(name)
@@ -192,8 +183,11 @@ class OpRunner:
             self._sim_counter("sim.functional")
             return profile_program(program, max_steps=max_steps)
 
-        return self._cached("profile", program.name, fingerprint, compute,
-                            max_steps=max_steps)
+        return self.pipeline._artifact(
+            profile_key(program.name, SERVE_SCALE, fingerprint,
+                        max_steps=max_steps),
+            compute,
+        )
 
     def _op_select(self, params: dict):
         from repro import api
@@ -215,19 +209,20 @@ class OpRunner:
                 validate_equivalence(program, rewritten, defs)
             return rewritten, defs
 
-        return self._cached(
-            "rewrite", program.name, fingerprint, compute,
-            selection=_selection_digest(selection), validate=validate,
+        return self.pipeline._artifact(
+            rewrite_key(program.name, SERVE_SCALE, fingerprint,
+                        validate=validate,
+                        selection=_selection_digest(selection)),
+            compute,
         )
 
     # ------------------------------------------------------------------
     # simulate: the micro-batched path
 
-    def _trace_for(self, program, ext_defs, max_steps):
+    def _trace_for(self, program, fingerprint, defs_digest, ext_defs,
+                   max_steps):
         """The program's dynamic trace (store-cached like engine traces)."""
         from repro.sim.functional import FunctionalSimulator
-
-        fingerprint = program_fingerprint(program)
 
         def compute():
             self._sim_counter("sim.functional")
@@ -236,9 +231,10 @@ class OpRunner:
             )
             return result.trace
 
-        return self._cached(
-            "trace", program.name, fingerprint, compute,
-            extdefs=_ext_defs_digest(ext_defs), max_steps=max_steps,
+        return self.pipeline._artifact(
+            trace_key(program.name, SERVE_SCALE, fingerprint,
+                      extdefs=defs_digest, max_steps=max_steps),
+            compute,
         )
 
     def _simulate_batch(self, items: list[dict],
@@ -285,15 +281,15 @@ class OpRunner:
                 ext_defs = protocol.decode_value(first.get("ext_defs"))
                 max_steps = first.get("max_steps", 50_000_000)
                 trace = None
+            fingerprint = program_fingerprint(program)
+            defs_digest = _ext_defs_digest(ext_defs)
             if trace is None:
-                trace = self._trace_for(program, ext_defs, max_steps)
+                trace = self._trace_for(program, fingerprint, defs_digest,
+                                        ext_defs, max_steps)
         except (ReproError, AssertionError, TypeError, ValueError) as exc:
             for i in range(len(items)):
                 fail(i, exc)
             return results  # the whole batch shares the broken payload
-
-        fingerprint = program_fingerprint(program)
-        defs_digest = _ext_defs_digest(ext_defs)
 
         # Per-item machine decode: a bad config poisons only its item.
         machines: dict[int, MachineConfig] = {}
@@ -305,13 +301,6 @@ class OpRunner:
             except (ReproError, TypeError, ValueError) as exc:
                 fail(i, exc)
 
-        def timing_key(machine: MachineConfig):
-            return make_key(
-                kind="timing", workload=program.name, scale=_SERVE_SCALE,
-                fingerprint=fingerprint, extdefs=defs_digest,
-                max_steps=max_steps, machine=machine_fingerprint(machine),
-            )
-
         store = self.pipeline.store
         # Dedupe within the batch: concurrent clients sweeping the same
         # config grid collapse to one simulation per *distinct* machine,
@@ -321,46 +310,51 @@ class OpRunner:
         for i, machine in machines.items():
             groups.setdefault(machine_fingerprint(machine), []).append(i)
 
-        def deliver(indices: list[int], stats) -> None:
-            if store is not None:
-                store.put(timing_key(machines[indices[0]]), stats)
+        def answer(indices: list[int], stats) -> None:
             wire = {"ok": True, "value": {"$stats": stats_to_json(stats)}}
             for i in indices:
                 results[i] = wire
 
-        missed: list[list[int]] = []
-        for indices in groups.values():
-            cached = (store.get(timing_key(machines[indices[0]]))
-                      if store else None)
+        # (requesters, store key) per distinct machine the store missed
+        missed: list[tuple[list[int], Any]] = []
+        for machine_fp, indices in groups.items():
+            key = cached = None
+            if store is not None:
+                key = timing_key(
+                    program.name, SERVE_SCALE, fingerprint, machine_fp,
+                    extdefs=defs_digest, max_steps=max_steps,
+                )
+                cached = store.get(key)
             if cached is not None:
-                wire = {"ok": True, "value": {
-                    "$stats": stats_to_json(cached)
-                }}
-                for i in indices:
-                    results[i] = wire
+                answer(indices, cached)
             else:
-                missed.append(indices)
+                missed.append((indices, key))
+
+        def deliver(indices: list[int], key, stats) -> None:
+            if key is not None:
+                store.put(key, stats)
+            answer(indices, stats)
 
         if missed:
-            configs = [machines[indices[0]] for indices in missed]
+            configs = [machines[indices[0]] for indices, _ in missed]
             self._sim_counter("sim.timing")
             try:
                 # serial: the worker pool is serve's parallelism, and a
                 # forked child must not outlive a killed worker
                 sweep = simulate_many(program, trace, configs,
                                       ext_defs=ext_defs, jobs=1)
-                for indices, stats in zip(missed, sweep):
-                    deliver(indices, stats)
+                for (indices, key), stats in zip(missed, sweep):
+                    deliver(indices, key, stats)
             except (ReproError, AssertionError, ValueError) as poisoned:
                 # Isolate the poison: replay per config so healthy
                 # configurations still get their answer.
                 del poisoned
-                for indices in missed:
+                for indices, key in missed:
                     try:
                         stats = OoOSimulator(
                             program, machines[indices[0]], ext_defs=ext_defs
                         ).simulate(trace)
-                        deliver(indices, stats)
+                        deliver(indices, key, stats)
                     except (ReproError, AssertionError, ValueError) as exc:
                         for i in indices:
                             fail(i, exc)

@@ -15,7 +15,8 @@ import pathlib
 import pytest
 
 from repro.engine import ArtifactPipeline, Telemetry
-from repro.engine.pipeline import BASELINE_MACHINE
+from repro.engine.pipeline import BASELINE_MACHINE, requested_selection
+from repro.extinst import SelectionParams
 from repro.extinst.registry import BASELINE, GREEDY, ISEGEN, SELECTIVE
 from repro.serve import protocol
 from repro.serve.ops import OpRunner
@@ -67,14 +68,14 @@ def grid_keys(workload):
         MACHINES,
     )
     for algorithm, select_pfus, validate, machine in grid:
-        if algorithm == BASELINE:
+        params = requested_selection(algorithm, select_pfus)
+        if params is None:
             pipeline.trace(workload, 1)
         else:
-            pipeline.selection(workload, 1, algorithm, select_pfus)
-            pipeline.rewrite(workload, 1, algorithm, select_pfus, validate)
-            pipeline.trace(workload, 1, algorithm, select_pfus, validate)
-        pipeline.timing_for(workload, 1, algorithm, select_pfus, validate,
-                            machine)
+            pipeline.selection(workload, 1, params)
+            pipeline.rewrite(workload, 1, params, validate)
+            pipeline.trace(workload, 1, params, validate)
+        pipeline.timing_for(workload, 1, params, validate, machine)
     return recorded(store)
 
 
@@ -85,15 +86,16 @@ def test_pipeline_grid_keys_pinned(workload):
 
 def test_served_keys_pinned(gsm_encode_lab):
     program = gsm_encode_lab.program
-    selection = gsm_encode_lab.selection("selective", 2)
-    rewritten, defs = gsm_encode_lab.rewritten("selective", 2)
+    params = SelectionParams(algorithm=SELECTIVE, select_pfus=2)
+    selection = gsm_encode_lab.selection(params)
+    rewritten, defs = gsm_encode_lab.rewritten(params)
     store = RecordingStore()
     runner = OpRunner()
     runner.pipeline = ArtifactPipeline(store=store)
 
-    def run(op, **params):
+    def run(op, **fields):
         reply = runner.run_job({"op": op, "items": [
-            {k: protocol.encode_value(v) for k, v in params.items()}
+            {k: protocol.encode_value(v) for k, v in fields.items()}
         ]})
         assert all(item["ok"] for item in reply["results"]), reply
 

@@ -15,6 +15,7 @@ from repro.engine import (
     ExperimentEngine, make_spec,
 )
 from repro.errors import ExtInstError
+from repro.extinst import SelectionParams
 from repro.explore import SweepSpec, run_sweep
 from repro.harness.cli import main
 from repro.harness.figures import fig2_greedy
@@ -22,6 +23,7 @@ from repro.sim.functional import FunctionalSimulator
 from repro.utils.tables import format_table
 
 WORKLOAD = "epic"
+SELECTIVE_2 = SelectionParams("selective", 2)
 
 
 def make_engine(tmp_path, **kwargs):
@@ -233,7 +235,7 @@ class TestValidationReuse:
         rewrite whose definition computes something else still fails."""
         pipeline = ArtifactPipeline()
         reference = pipeline.original_run("mpeg2_decode", 1)
-        pipeline.selection("mpeg2_decode", 1, "selective", 2)
+        pipeline.selection("mpeg2_decode", 1, SELECTIVE_2)
         real_apply = pipeline_module.apply_selection
 
         def corrupting_apply(program, selection):
@@ -249,7 +251,7 @@ class TestValidationReuse:
         )
         run_log.clear()
         with pytest.raises(ExtInstError):
-            pipeline.rewrite("mpeg2_decode", 1, "selective", 2, True)
+            pipeline.rewrite("mpeg2_decode", 1, SELECTIVE_2, True)
         # only the rewritten program ran; the original's run was reused
         assert len(run_log) == 1
         assert run_log[0] is not reference.program

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.asm import assemble
 from repro.engine import EngineConfig, ExperimentEngine, get_default_pipeline
+from repro.extinst import SelectionParams
 from repro.extinst.extdef import ExtInstDef, ExtOp, sequential_chain
 from repro.extinst.validate import memory_snapshot
 from repro.fuzz import narrow_machine
@@ -75,7 +76,7 @@ class TestRewrittenFunctionalEquivalence:
 
     def test_execution_result_identical(self, name, algorithm):
         program, defs = get_default_pipeline().rewrite(
-            name, 1, algorithm, 2, True
+            name, 1, SelectionParams(algorithm, 2), True
         )
         assert defs, "the rewrite should fold something"
         fast, ref = _functional_results(program, defs)
@@ -255,7 +256,7 @@ class TestLoopSpecialisation:
 
     def test_one_compiled_loop_per_ruu_size(self):
         program, defs = get_default_pipeline().rewrite(
-            "gsm_encode", 1, "selective", 2, True
+            "gsm_encode", 1, SelectionParams("selective", 2), True
         )
         trace = FunctionalSimulator(program, ext_defs=defs).run(
             collect_trace=True).trace
@@ -301,7 +302,7 @@ class TestObservedTimingEquivalence:
 
     def test_observed_streams_identical(self, name):
         program, defs = get_default_pipeline().rewrite(
-            name, 1, "selective", 2, True
+            name, 1, SelectionParams("selective", 2), True
         )
         trace = FunctionalSimulator(program, ext_defs=defs).run(
             collect_trace=True).trace

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.extinst import SelectionParams
 from repro.harness.cli import main as cli_main
 from repro.harness.figures import fig2_greedy, fig7_area, greedy_stats
 from repro.harness.runner import WorkloadLab
@@ -15,14 +16,14 @@ class TestWorkloadLab:
         assert a is b
 
     def test_selection_cached_per_key(self, gsm_encode_lab):
-        s1 = gsm_encode_lab.selection("selective", 2)
-        s2 = gsm_encode_lab.selection("selective", 2)
-        s3 = gsm_encode_lab.selection("selective", 4)
+        s1 = gsm_encode_lab.selection(SelectionParams("selective", 2))
+        s2 = gsm_encode_lab.selection(SelectionParams("selective", 2))
+        s3 = gsm_encode_lab.selection(SelectionParams("selective", 4))
         assert s1 is s2 and s1 is not s3
 
     def test_unknown_algorithm(self, gsm_encode_lab):
         with pytest.raises(ConfigurationError):
-            gsm_encode_lab.selection("magic", 2)
+            gsm_encode_lab.selection(SelectionParams("magic", 2))
 
     def test_run_baseline(self, gsm_encode_lab):
         result = gsm_encode_lab.run("baseline", 0, 0)
@@ -48,7 +49,7 @@ class TestWorkloadLab:
         assert planned1_on1.stats.pfu_misses <= planned2_on1.stats.pfu_misses
 
     def test_rewritten_validated(self, epic_lab):
-        program, defs = epic_lab.rewritten("selective", 2)
+        program, defs = epic_lab.rewritten(SelectionParams("selective", 2))
         assert len(program.text) < len(epic_lab.program.text)
         assert defs
 

@@ -3,7 +3,11 @@ workloads, asserting the evaluation's qualitative claims at test scale."""
 
 import pytest
 
-from repro.extinst import apply_selection, validate_equivalence
+from repro.extinst import (
+    SelectionParams,
+    apply_selection,
+    validate_equivalence,
+)
 from repro.hwcost import estimate_cost
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.ooo import MachineConfig, OoOSimulator
@@ -29,13 +33,13 @@ class TestEndToEndGsmEncode:
 
     def test_rewritten_outputs_still_correct(self, gsm_encode_lab):
         lab = gsm_encode_lab
-        program, defs = lab.rewritten("selective", 2)
+        program, defs = lab.rewritten(SelectionParams("selective", 2))
         result = FunctionalSimulator(program, ext_defs=defs).run()
         lab.workload.verify(result)
 
     def test_selected_instructions_fit_pfus(self, gsm_encode_lab):
         """§6: chosen extended instructions fit small PFUs."""
-        selection = gsm_encode_lab.selection("selective", 4)
+        selection = gsm_encode_lab.selection(SelectionParams("selective", 4))
         for conf, extdef in selection.ext_defs.items():
             cost = estimate_cost(extdef)
             assert cost.luts < 150
@@ -57,12 +61,12 @@ class TestEndToEndEpic:
         assert selective_2.speedup > 1.0
 
     def test_rewritten_epic_verifies(self, epic_lab):
-        program, defs = epic_lab.rewritten("greedy", None)
+        program, defs = epic_lab.rewritten(SelectionParams("greedy"))
         result = FunctionalSimulator(program, ext_defs=defs).run()
         epic_lab.workload.verify(result)
 
     def test_ext_instructions_execute_in_timing_model(self, epic_lab):
-        program, defs = epic_lab.rewritten("selective", 2)
+        program, defs = epic_lab.rewritten(SelectionParams("selective", 2))
         trace = FunctionalSimulator(program, ext_defs=defs).run(
             collect_trace=True
         ).trace
@@ -81,7 +85,7 @@ class TestCrossAlgorithmInvariants:
         self, gsm_encode_lab, algorithm, pfus
     ):
         lab = gsm_encode_lab
-        selection = lab.selection(algorithm, pfus)
+        selection = lab.selection(SelectionParams(algorithm, pfus))
         rewritten, defs = apply_selection(lab.program, selection)
         validate_equivalence(lab.program, rewritten, defs)
 

@@ -22,6 +22,7 @@ from functools import lru_cache
 import pytest
 
 from repro.engine import get_default_pipeline
+from repro.extinst import SelectionParams
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.ooo import MachineConfig, OoOSimulator, native
 from repro.sim.trace import DynTrace
@@ -32,7 +33,7 @@ from test_fastpath import _observed_runs
 @lru_cache(maxsize=None)
 def _rewritten(name: str = "gsm_encode"):
     program, defs = get_default_pipeline().rewrite(
-        name, 1, "selective", 2, True)
+        name, 1, SelectionParams("selective", 2), True)
     trace = FunctionalSimulator(program, ext_defs=defs).run(
         collect_trace=True).trace
     return program, defs, trace

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.asm import assemble
-from repro.extinst import greedy_select, selective_select
+from repro.extinst import SelectionParams, greedy_select, selective_select
 from repro.obs import (
     CYCLES,
     NULL_RECORDER,
@@ -237,7 +237,7 @@ class TestSimInstrumentation:
 
 class TestPFUInstrumentation:
     def test_reconfig_metric_matches_stats(self, gsm_encode_lab):
-        program, defs = gsm_encode_lab.rewritten("greedy", None)
+        program, defs = gsm_encode_lab.rewritten(SelectionParams("greedy"))
         machine = MachineConfig(n_pfus=2, reconfig_latency=10)
         with observed() as rec:
             trace = FunctionalSimulator(program, ext_defs=defs).run(
@@ -299,7 +299,8 @@ class TestReport:
         machine = MachineConfig(n_pfus=2, reconfig_latency=10)
         with observed() as rec:
             with rec.scoped(workload="gsm_encode", algorithm="greedy"):
-                program, defs = gsm_encode_lab.rewritten("greedy", None)
+                program, defs = gsm_encode_lab.rewritten(
+                    SelectionParams("greedy"))
                 trace = FunctionalSimulator(program, ext_defs=defs).run(
                     collect_trace=True
                 ).trace

@@ -4,6 +4,7 @@ results are deterministic, and bounds hold."""
 import pytest
 
 from repro.asm import assemble
+from repro.extinst import SelectionParams
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.ooo import MachineConfig, OoOSimulator
 
@@ -117,7 +118,7 @@ class TestPFUMonotonicity:
         from repro.harness.runner import WorkloadLab
 
         lab = WorkloadLab("gsm_decode", scale=1)
-        program, defs = lab.rewritten("greedy", None)
+        program, defs = lab.rewritten(SelectionParams("greedy"))
         trace = FunctionalSimulator(program, ext_defs=defs).run(
             collect_trace=True
         ).trace

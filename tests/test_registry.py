@@ -14,7 +14,15 @@ import pathlib
 
 import pytest
 
-from repro.engine import ArtifactPipeline, ArtifactStore, make_key
+from repro.engine import (
+    ArtifactPipeline,
+    ArtifactStore,
+    core_machine,
+    rewrite_key,
+    selection_key,
+    timing_key,
+    trace_key,
+)
 from repro.engine.store import machine_fingerprint
 from repro.errors import ConfigurationError
 from repro.explore.spec import SweepPoint
@@ -169,10 +177,7 @@ class TestCacheKeyStability:
 
     FINGERPRINT = "f" * 16
     MACHINE = "m" * 16
-
-    def key(self, kind, **params):
-        return make_key(kind=kind, workload="epic", scale=1,
-                        fingerprint=self.FINGERPRINT, **params)
+    SELECTIVE_2 = SelectionParams(algorithm=SELECTIVE, select_pfus=2)
 
     def test_selection_keys_byte_identical(self):
         expected = {
@@ -185,30 +190,26 @@ class TestCacheKeyStability:
         }
         for (algorithm, pfus), digest in expected.items():
             params = SelectionParams(algorithm=algorithm, select_pfus=pfus)
-            key = self.key("selection", algorithm=algorithm,
-                           select_pfus=normalize_select_pfus(algorithm, pfus),
-                           **selection_cache_extras(params))
+            key = selection_key("epic", 1, self.FINGERPRINT, params)
             assert key.digest == digest, (algorithm, pfus)
 
     def test_tuned_selection_key_byte_identical(self):
         params = SelectionParams(algorithm=SELECTIVE, select_pfus=2,
                                  gain_threshold=0.01)
-        key = self.key("selection", algorithm=SELECTIVE, select_pfus=2,
-                       **selection_cache_extras(params))
+        key = selection_key("epic", 1, self.FINGERPRINT, params)
         assert key.digest == ("42cc9fd7e9e6f3ef2d15b53227b7444a"
                               "1ff39aefb7a69bba38eaca4bbb178b43")
 
     def test_downstream_keys_byte_identical(self):
-        rewrite = self.key("rewrite", algorithm=SELECTIVE, select_pfus=2,
-                           validate=True)
+        rewrite = rewrite_key("epic", 1, self.FINGERPRINT, self.SELECTIVE_2,
+                              True)
         assert rewrite.digest == ("35198af92621c22b0bd0b0d2850820"
                                   "774cc467fd723458d3a81971a36839f4c7")
-        trace = self.key("trace", algorithm=SELECTIVE, select_pfus=2,
-                         validate=True)
+        trace = trace_key("epic", 1, self.FINGERPRINT, self.SELECTIVE_2, True)
         assert trace.digest == ("a68e8bfc4eac1c67642ec02fed7aa99f"
                                 "05f51114c46edfa9722791169f94e96e")
-        timing = self.key("timing", algorithm=SELECTIVE, select_pfus=2,
-                          validate=True, machine=self.MACHINE)
+        timing = timing_key("epic", 1, self.FINGERPRINT, self.MACHINE,
+                            self.SELECTIVE_2, True)
         assert timing.digest == ("75b03192e2af1b2137ae9b333fbd5640"
                                  "f58313cbe569f861a4476c04a91bda91")
 
@@ -264,20 +265,28 @@ class TestMachineIdentity:
         # reference_loop equals no other machine, so it computes too
         assert machine_fingerprint.cache_info().misses == len(self.MACHINES)
 
+    @staticmethod
+    def timing_key(point, fingerprint):
+        """A sweep point's timing key, its baseline on the core machine."""
+        machine = (core_machine(point.machine) if point.selection is None
+                   else point.machine)
+        return timing_key(point.workload, point.scale, fingerprint,
+                          machine_fingerprint(machine), point.selection,
+                          point.validate)
+
     def test_sweep_timing_keys_byte_identical(self):
         fingerprint = "f" * 16
-        assert self.REWRITTEN.timing_key(fingerprint).digest == (
+        assert self.timing_key(self.REWRITTEN, fingerprint).digest == (
             "dd744b4eb19327fe7f45d9689555223a"
             "65f5d0622dd6c06a630c6262af1787c5")
-        assert self.BASELINE_POINT.timing_key(fingerprint).digest == (
+        assert self.timing_key(self.BASELINE_POINT, fingerprint).digest == (
             "eeb1e473fe0a81a5a58ec26228c9281d"
             "38687498b8710171aa6ab1f93f48cd86")
 
     def test_pipeline_builds_the_sweep_timing_keys(self, tmp_path):
-        """The keys :meth:`ArtifactPipeline.timing_for` and
-        :meth:`~ArtifactPipeline.baseline_timing` look up are the ones
-        :meth:`SweepPoint.timing_key` builds, or every warm sweep
-        misses."""
+        """The keys :meth:`ArtifactPipeline.timing_for` looks up for a
+        rewritten point and a baseline are the ones the sweep checks, or
+        every warm sweep misses."""
 
         class KeyLog(ArtifactStore):
             def get(self, key):
@@ -289,10 +298,10 @@ class TestMachineIdentity:
         fingerprint = pipeline.fingerprint("gsm_encode", 1)
         for point in (self.REWRITTEN, self.BASELINE_POINT):
             pipeline.timing_for(point.workload, point.scale,
-                                point.algorithm, point.select_pfus,
-                                point.validate, point.machine)
-        assert looked_up == [self.REWRITTEN.timing_key(fingerprint),
-                             self.BASELINE_POINT.timing_key(fingerprint)]
+                                point.selection, point.validate,
+                                point.machine)
+        assert looked_up == [self.timing_key(self.REWRITTEN, fingerprint),
+                             self.timing_key(self.BASELINE_POINT, fingerprint)]
 
 
 class TestTypeExactMachines:

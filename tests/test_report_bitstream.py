@@ -4,6 +4,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.errors import ExtInstError
+from repro.extinst import SelectionParams
 from repro.extinst.extdef import sequential_chain
 from repro.hwcost import config_bits, estimate_cost, generate_bitstream, parse_header
 from repro.hwcost.bitstream import Bitstream, bitstream_table
@@ -140,7 +141,7 @@ class TestBitstream:
         assert table[0].conf == 0
 
     def test_workload_selection_bitstreams(self, gsm_encode_lab):
-        selection = gsm_encode_lab.selection("selective", 2)
+        selection = gsm_encode_lab.selection(SelectionParams("selective", 2))
         table = bitstream_table(selection.ext_defs)
         for conf, stream in table.items():
             header = parse_header(stream)

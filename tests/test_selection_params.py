@@ -1,6 +1,5 @@
 """``SelectionParams``: one request shape accepted by every selection
-entry point (module functions, labs, the engine pipeline), with the
-legacy positional forms still working."""
+entry point (module functions, labs, the engine pipeline)."""
 
 import pytest
 
@@ -9,12 +8,14 @@ from repro.engine.pipeline import ArtifactPipeline
 from repro.errors import ConfigurationError
 from repro.extinst import (
     SelectionParams,
-    coerce_selection_params,
+    apply_selection,
     greedy_select,
     run_selection,
     selective_select,
 )
 from repro.extinst.extraction import ExtractionParams
+from repro.sim.functional import FunctionalSimulator
+from repro.sim.ooo import MachineConfig, OoOSimulator
 
 
 class TestParamsObject:
@@ -41,20 +42,6 @@ class TestParamsObject:
         assert hash(a) == hash(b) and a == b
 
 
-class TestCoercion:
-    def test_legacy_string_form(self):
-        params = coerce_selection_params("selective", 2)
-        assert params == SelectionParams(algorithm="selective", select_pfus=2)
-
-    def test_params_pass_through_normalized(self):
-        params = SelectionParams(algorithm="greedy", select_pfus=3)
-        assert coerce_selection_params(params).select_pfus is None
-
-    def test_params_plus_pfus_rejected(self):
-        with pytest.raises(ConfigurationError):
-            coerce_selection_params(SelectionParams(), 2)
-
-
 class TestUnifiedEntryPoints:
     def test_run_selection_matches_module_functions(self, gsm_encode_lab):
         profile = gsm_encode_lab.profile
@@ -77,11 +64,13 @@ class TestUnifiedEntryPoints:
             profile, 2, params
         ).n_configs == selective_select(profile, n_pfus=2).n_configs
 
-    def test_lab_accepts_params_and_legacy_positional(self, gsm_encode_lab):
+    def test_lab_accepts_params(self, gsm_encode_lab):
         params = SelectionParams(algorithm="selective", select_pfus=2)
-        via_params = gsm_encode_lab.selection(params)
-        via_legacy = gsm_encode_lab.selection("selective", 2)
-        assert via_params.n_configs == via_legacy.n_configs
+        via_lab = gsm_encode_lab.selection(params)
+        via_pipeline = gsm_encode_lab.pipeline.selection(
+            "gsm_encode", 1, params
+        )
+        assert via_lab is via_pipeline
 
     def test_make_spec_accepts_params(self):
         spec = make_spec(
@@ -94,8 +83,16 @@ class TestUnifiedEntryPoints:
         assert spec.select_pfus == legacy.select_pfus
 
     def test_lab_rejects_params_plus_positional_pfus(self, gsm_encode_lab):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             gsm_encode_lab.selection(SelectionParams(), 2)
+
+    def test_make_spec_rejects_tuned_params(self):
+        """Engine jobs carry only algorithm and PFU budget: a tuned
+        request must fail loudly, not run the default selection."""
+        tuned = SelectionParams(algorithm="selective", select_pfus=2,
+                                gain_threshold=0.5)
+        with pytest.raises(ConfigurationError, match="tunables"):
+            make_spec("gsm_encode", tuned, 2, 10)
 
 
 class TestPipelineCacheIdentity:
@@ -118,3 +115,26 @@ class TestPipelineCacheIdentity:
             SelectionParams(algorithm="selective", select_pfus=2),
         )
         assert again.n_configs == default.n_configs
+
+    def test_tuned_params_reach_rewrite_trace_and_timing(
+        self, gsm_encode_lab
+    ):
+        """Every downstream artefact of a tuned selection is built from
+        that selection, not from the default one sharing its algorithm
+        and PFU budget."""
+        lab = gsm_encode_lab
+        default = SelectionParams(algorithm="selective", select_pfus=2)
+        strict = SelectionParams(algorithm="selective", select_pfus=2,
+                                 gain_threshold=0.9)
+        expected = apply_selection(lab.program, lab.selection(strict))
+        program, defs = lab.rewritten(strict)
+        assert program.render() == expected[0].render()
+        assert defs == expected[1]
+        assert program.render() != lab.rewritten(default)[0].render()
+        trace = lab.trace(strict)
+        assert len(trace) == len(FunctionalSimulator(
+            program, ext_defs=defs).run(collect_trace=True).trace)
+        machine = MachineConfig(n_pfus=2)
+        [stats] = lab.timing_sweep(strict, [machine])
+        assert stats.cycles == OoOSimulator(
+            program, machine, ext_defs=defs).simulate(trace).cycles
