@@ -407,7 +407,6 @@ class ArtifactPipeline:
         warm artefacts.  With ``params`` None this is the baseline,
         measured on :func:`core_machine` of ``machine``.
         """
-
         if params is None:
             machine = core_machine(machine)
 

@@ -26,6 +26,7 @@ from typing import Any
 from repro.engine.pipeline import ArtifactPipeline
 from repro.engine.store import (
     SERVE_SCALE,
+    ArtifactKey,
     ArtifactStore,
     machine_fingerprint,
     profile_key,
@@ -316,7 +317,7 @@ class OpRunner:
                 results[i] = wire
 
         # (requesters, store key) per distinct machine the store missed
-        missed: list[tuple[list[int], Any]] = []
+        missed: list[tuple[list[int], ArtifactKey | None]] = []
         for machine_fp, indices in groups.items():
             key = cached = None
             if store is not None:
