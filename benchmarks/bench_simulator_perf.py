@@ -1,7 +1,7 @@
 """Simulator-throughput micro-benchmarks (regression guards, not a paper
 artefact): the functional interpreter and the OoO timing model on a
-fixed medium-sized kernel, and OoO replay through the native kernel on
-a long rewritten trace.
+fixed medium-sized kernel, and OoO replay and the fetch/cache pre-pass
+through the native kernels on a long rewritten trace.
 """
 
 import pytest
@@ -73,3 +73,18 @@ def test_ooo_replay_native(benchmark, unepic_rewrite):
     replay()                       # builds and caches the pre-pass
     stats = benchmark(replay)
     assert stats.instructions == len(trace)
+
+
+def test_prepass_native(benchmark, unepic_rewrite):
+    """One fetch/cache pre-pass of the trace on the default hierarchy,
+    as a fresh-trace query builds it: through the native kernel where a
+    C compiler exists (a host without one measures ``build_prepass``,
+    and the gate shows it)."""
+    from repro.sim.ooo.pipeline import _build_prepass
+
+    program, defs, trace = unepic_rewrite
+    sim = OoOSimulator(program, MachineConfig(), ext_defs=defs)
+    pre = benchmark(lambda: _build_prepass(
+        sim._events, trace.indices, trace.addrs, sim.config.hierarchy,
+        sim.config.fetch_width))
+    assert len(pre.fcyc) == len(trace)

@@ -20,6 +20,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/record_bench.py          # write baseline
     PYTHONPATH=src python benchmarks/record_bench.py --only native_replay
+    PYTHONPATH=src python benchmarks/record_bench.py --only native_prepass
     PYTHONPATH=src python benchmarks/record_bench.py --compare out.json
 """
 
@@ -104,23 +105,31 @@ def _measure_simulator() -> dict:
     return benchmarks
 
 
-def _measure_native_replay() -> dict:
-    """``bench_simulator_perf.test_ooo_replay_native``: one replay of the
-    ``unepic``@2 selective 2-PFU trace on the default machine with the
-    pre-pass cached, through the native kernel, the generated Python
-    loop and the reference loop. Recording aborts unless all three
-    answer alike and the kernel is loaded."""
+def _unepic_rewrite():
+    """``unepic``@2 rewritten by a selective 2-PFU selection, and its
+    trace: ``bench_simulator_perf``'s ``unepic_rewrite`` (keep in sync)."""
     from repro import api
-    from repro.sim.ooo import native, parallel
 
-    if not native.available():
-        raise SystemExit("native replay kernel unavailable (no C compiler?)")
     program = api.compile(workload="unepic", scale=2)
     profile = api.profile(program=program)
     selection = api.select(profile=profile, algorithm="selective", pfus=2)
     rewritten, defs = api.rewrite(program=program, selection=selection)
     trace = FunctionalSimulator(rewritten, ext_defs=defs).run(
         collect_trace=True).trace
+    return rewritten, defs, trace
+
+
+def _measure_native_replay() -> dict:
+    """``bench_simulator_perf.test_ooo_replay_native``: one replay of the
+    ``unepic``@2 selective 2-PFU trace on the default machine with the
+    pre-pass cached, through the native kernel, the generated Python
+    loop and the reference loop. Recording aborts unless all three
+    answer alike and the kernel is loaded."""
+    from repro.sim.ooo import native, parallel
+
+    if not native.available():
+        raise SystemExit("native replay kernel unavailable (no C compiler?)")
+    rewritten, defs, trace = _unepic_rewrite()
 
     def replay(config=MachineConfig()):
         return OoOSimulator(rewritten, config, ext_defs=defs).simulate(trace)
@@ -141,6 +150,39 @@ def _measure_native_replay() -> dict:
             "reference_median_s": round(ref_s, 6),
             "speedup_vs_python_fast": round(loop_s / native_s, 2),
             "speedup_vs_reference": round(ref_s / native_s, 2),
+            "instructions": len(trace),
+            "cores": parallel.usable_cores(),
+        },
+    }
+
+
+def _measure_native_prepass() -> dict:
+    """``bench_simulator_perf.test_prepass_native``: one fetch/cache
+    pre-pass of the ``unepic``@2 selective 2-PFU trace on the default
+    hierarchy, through the native kernel and through ``build_prepass``.
+    Recording aborts unless the kernel is loaded and the two pre-passes
+    are equal field for field."""
+    from repro.sim.ooo import native, parallel
+    from repro.sim.ooo.prepass import build_prepass
+
+    if not native.available():
+        raise SystemExit("native pre-pass kernel unavailable (no C compiler?)")
+    rewritten, defs, trace = _unepic_rewrite()
+    config = MachineConfig()
+    args = (OoOSimulator(rewritten, config, ext_defs=defs)._events,
+            trace.indices, trace.addrs, config.hierarchy, config.fetch_width)
+    built = native.prepass(*args)
+    if built is None or \
+            built._replace(fcyc=built.fcyc.tolist()) != build_prepass(*args):
+        raise SystemExit("native and Python pre-passes diverged")
+    native_s = _median_seconds(lambda: native.prepass(*args), repeats=15)
+    python_s = _median_seconds(lambda: build_prepass(*args), repeats=7)
+    return {
+        "test_prepass_native": {
+            "median_s": round(native_s, 6),
+            "ops_per_s": round(len(trace) / native_s),
+            "python_median_s": round(python_s, 6),
+            "speedup_vs_python": round(python_s / native_s, 2),
             "instructions": len(trace),
             "cores": parallel.usable_cores(),
         },
@@ -316,6 +358,7 @@ def _measure_wire_framing() -> dict:
 SOURCES = {
     "simulator": _measure_simulator,
     "native_replay": _measure_native_replay,
+    "native_prepass": _measure_native_prepass,
     "explore_pruning": _measure_explore_pruning,
     "selector_runtime": _measure_selection,
     "wire_framing": _measure_wire_framing,
@@ -373,6 +416,8 @@ def write_baseline(path: Path, only=None) -> None:
     for name, row in measured.items():
         if "speedup_vs_reference" in row:
             detail = f"{row['speedup_vs_reference']}x vs reference"
+        elif "speedup_vs_python" in row:
+            detail = f"{row['speedup_vs_python']}x vs build_prepass"
         elif "algorithms" in row:
             detail = ", ".join(
                 f"{name} {sub['median_s'] * 1e3:.1f}ms"

@@ -166,13 +166,15 @@ def check_simulators(program: Program, ext_defs=None) -> None:
     Runs the block-compiled functional interpreter against the reference
     interpreter (architectural state, trace, execution counts, bitwidth
     profile must all match), then replays the trace through the timing
-    model's fast path — the native kernel where it is available, and
-    the generated Python loop — and the reference loop (``SimStats``
-    must match field-for-field), on the default machine, on
-    :func:`tiny_machine` and on :func:`narrow_machine`. The same
-    machines also go through ``simulate_many(..., jobs=2)``, which
-    replays some of them in a forked child where forking is safe.
-    Raises ``AssertionError`` on any divergence.
+    model's fast path — the native kernels where they are available,
+    and the Python pre-pass and generated Python loop — and the
+    reference loop (``SimStats`` must match field-for-field), on the
+    default machine, on :func:`tiny_machine` and on
+    :func:`narrow_machine`. On each machine the native pre-pass must
+    also equal ``build_prepass`` field for field. The same machines
+    also go through ``simulate_many(..., jobs=2)``, which replays some
+    of them in a forked child where forking is safe. Raises
+    ``AssertionError`` on any divergence.
     """
     import dataclasses
 
@@ -180,6 +182,7 @@ def check_simulators(program: Program, ext_defs=None) -> None:
     from repro.sim.functional import FunctionalSimulator
     from repro.sim.ooo import MachineConfig, OoOSimulator, simulate_many
     from repro.sim.ooo import native
+    from repro.sim.ooo.prepass import build_prepass
 
     fast = FunctionalSimulator(
         program, ext_defs=ext_defs, compile_blocks=True
@@ -207,7 +210,16 @@ def check_simulators(program: Program, ext_defs=None) -> None:
     }
     grid = simulate_many(program, fast.trace, list(machines.values()),
                          ext_defs=ext_defs, jobs=2)
+    events = OoOSimulator(program, ext_defs=ext_defs)._events
     for (label, config), stats_grid in zip(machines.items(), grid):
+        if native.available():
+            args = (events, fast.trace.indices, fast.trace.addrs,
+                    config.hierarchy, config.fetch_width)
+            built = native.prepass(*args)
+            assert built is not None, f"native pre-pass refused ({label})"
+            assert built._replace(fcyc=built.fcyc.tolist()) == \
+                build_prepass(*args), \
+                f"native pre-pass diverged ({label} machine)"
         stats_fast = OoOSimulator(
             program, config=config, ext_defs=ext_defs
         ).simulate(fast.trace)

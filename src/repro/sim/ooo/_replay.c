@@ -14,17 +14,13 @@
  *
  * The kernel has no global state: every buffer is the caller's or is
  * allocated and freed by the call, so it is reentrant and safe to call
- * after fork. Build: cc -O2 -shared -fPIC (see native.py).
+ * after fork. Built into one library with _prepass.c (see native.py).
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 
-/* return codes */
-#define R_OK 0
-#define R_HORIZON 1     /* issue drifted >= horizon past dispatch */
-#define R_NOMEM 2
-#define R_BADINPUT 3    /* an argument failed its bounds check */
+#include "_kernel.h"
 
 /* instruction classes (pipeline.py _C_*) */
 enum { C_ALU, C_MUL, C_DIV, C_LOAD, C_STORE, C_CTRL, C_NOP, C_EXT, N_CLS };
@@ -175,14 +171,11 @@ int t1000_replay(
     const int64_t horizon = params[P_HORIZON], mask = horizon - 1;
 
     /* every index the loop takes is checked here, before it runs */
-    if (n < 1 || n_addrs < n || params[P_ISSUE] < 1 || decode_width < 1
-        || commit_width < 1 || R < 1 || n_ialu < 1 || n_imult < 1
-        || n_memports < 1 || n_pfus < -1 || n_pfus == 0 || n_confs < 0
-        || horizon < 1 || (horizon & mask))
+    if (!columns_ok(n, indices, n_addrs, n_static) || params[P_ISSUE] < 1
+        || decode_width < 1 || commit_width < 1 || R < 1 || n_ialu < 1
+        || n_imult < 1 || n_memports < 1 || n_pfus < -1 || n_pfus == 0
+        || n_confs < 0 || horizon < 1 || (horizon & mask))
         return R_BADINPUT;
-    for (int64_t k = 0; k < n; k++)
-        if (indices[k] < 0 || indices[k] >= n_static)
-            return R_BADINPUT;
     for (int64_t si = 0; si < n_static; si++) {
         const row_t *r = &tab[si];
         if (r->cls < 0 || r->cls >= N_CLS || r->s1 < 0 || r->s1 > 31

@@ -1,48 +1,59 @@
-"""The native replay kernel: ``_replay.c``, built once per host and
-called through :mod:`ctypes`.
+"""The native kernels: ``_replay.c`` and ``_prepass.c``, built into one
+library once per host and called through :mod:`ctypes`.
 
-The kernel computes what the generated Python fast loop computes
+``t1000_replay`` computes what the generated Python fast loop computes
 (:func:`repro.sim.ooo.pipeline._fast_loop_source`) for any machine, at
-about 20 ns per instruction instead of about 900. The OoO simulator
-uses it for every fast-path replay that records no timeline (see
-docs/simulator.md, "Native replay kernel").
+about 20 ns per instruction instead of about 900. ``t1000_prepass``
+computes what :func:`repro.sim.ooo.prepass.build_prepass` computes, at
+a few ns per instruction instead of about 250. The OoO simulator uses
+the pre-pass kernel for every pre-pass and the replay kernel for every
+fast-path replay that records no timeline (see docs/simulator.md,
+"Native pre-pass" and "Native replay kernel").
 
 The shared library is built by the system C compiler on first use and
 cached under ``$T1000_CACHE_DIR/native/`` if that is set, else under the
 user's cache directory (``$XDG_CACHE_HOME`` or ``~/.cache``)
 ``/t1000/native/``, else under ``<tmp>/t1000-native-<uid>/``. Its file
-name carries the sha256 of the source, the compiler flags and the
-platform tag, so an edited source or another platform never loads a
+name carries the sha256 of every kernel source, the compiler flags and
+the platform tag, so an edited source or another platform never loads a
 stale build. The build writes a temp file and renames it into place, so
 concurrent builders are safe. A directory or library that is not this
 user's own, or that another user could write to, is never built into or
 loaded from (:func:`_private`): the temp directory's name is
 predictable, so anyone could create it first. With no compiler, or a
-build or load that fails, :func:`kernel` returns None and replay stays
-on the Python loop.
+build or load that fails, :func:`kernel` returns None and the pre-pass
+and replay stay in Python.
+
+``ctypes``, ``hashlib``, ``subprocess`` and ``sysconfig`` are imported
+only by the functions that build and load the library, so importing the
+simulator does not pay for them.
 """
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
 import os
 import shutil
 import stat
-import subprocess
-import sysconfig
 import tempfile
 from array import array
 from contextlib import contextmanager
+from dataclasses import fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-SOURCE = Path(__file__).with_name("_replay.c")
+from repro.isa.encoding import TEXT_BASE
+from repro.sim.cache.cache import CacheStats
+from repro.sim.cache.hierarchy import HierarchyConfig
+from repro.sim.ooo.prepass import LEVELS, Prepass
+
+#: The library's sources: the header first, then one file per kernel.
+SOURCES = tuple(Path(__file__).with_name(name)
+                for name in ("_kernel.h", "_replay.c", "_prepass.c"))
 CFLAGS = ("-O2", "-shared", "-fPIC")
 
-#: Replay through the kernel when it is available. Setting this to
-#: False keeps every replay on the Python fast loop.
+#: Run the pre-pass and replays through the kernels when they are
+#: available. Setting this to False keeps both in Python.
 ENABLED = True
 
 #: :func:`replay`'s answer when the issue cycle drifted ``horizon`` or
@@ -55,6 +66,15 @@ _R_OK, _R_HORIZON, _R_NOMEM, _R_BADINPUT = range(4)
 _O_CLASS, _O_STALL, _O_RECONFIGS, _O_HIST = 4, 12, 20, 21
 #: reconfiguration records the first observed attempt has room for
 _RECONFIG_CAP = 256
+#: ``CacheStats`` fields, in the order ``_prepass.c`` writes them
+_STAT_FIELDS = tuple(f.name for f in fields(CacheStats))
+
+
+class Kernel(NamedTuple):
+    """The library's two entry points."""
+
+    replay: object
+    prepass: object
 
 
 class Replay(NamedTuple):
@@ -76,11 +96,18 @@ class Replay(NamedTuple):
 
 
 def platform_tag() -> str:
+    import sysconfig
+
     return sysconfig.get_platform()
 
 
 def cache_key() -> str:
-    digest = hashlib.sha256(SOURCE.read_bytes())
+    import hashlib
+
+    digest = hashlib.sha256()
+    for source in SOURCES:
+        digest.update(source.name.encode() + b"\0")
+        digest.update(source.read_bytes() + b"\0")
     digest.update("\0".join(CFLAGS).encode())
     digest.update(b"\0" + platform_tag().encode())
     return digest.hexdigest()
@@ -131,14 +158,18 @@ def compiler() -> str | None:
 
 
 def build(cc: str, target: Path) -> None:
-    """Compile the kernel to ``target`` (temp file, then rename). The
+    """Compile the kernels to ``target`` (temp file, then rename). The
     caller has checked that ``target.parent`` is :func:`_private`."""
+    import subprocess
+
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name,
                                suffix=".tmp")
     os.close(fd)
     try:
-        subprocess.run([cc, *CFLAGS, "-o", tmp, str(SOURCE)], check=True,
-                       capture_output=True, timeout=120)
+        subprocess.run(
+            [cc, *CFLAGS, "-o", tmp,
+             *(str(src) for src in SOURCES if src.suffix == ".c")],
+            check=True, capture_output=True, timeout=120)
         os.chmod(tmp, 0o700)        # the linker applies the umask
         os.replace(tmp, target)
     finally:
@@ -146,26 +177,32 @@ def build(cc: str, target: Path) -> None:
             os.unlink(tmp)
 
 
-def _load(path: Path):
+def _load(path: Path) -> Kernel:
+    import ctypes
+
     # PyDLL keeps the GIL for the call, so no other thread can resize
-    # or rewrite a column while the kernel reads it
-    fn = ctypes.PyDLL(str(path)).t1000_replay
-    fn.restype = ctypes.c_int
-    fn.argtypes = [
-        ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-        ctypes.c_void_p, ctypes.c_int64,
+    # or rewrite a column while a kernel reads it
+    lib = ctypes.PyDLL(str(path))
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    replay = lib.t1000_replay
+    replay.restype = ctypes.c_int
+    replay.argtypes = [
+        i64, ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, i64,
     ]
-    return fn
+    prepass = lib.t1000_prepass
+    prepass.restype = ctypes.c_int
+    prepass.argtypes = [i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr]
+    return Kernel(replay, prepass)
 
 
 @lru_cache(maxsize=1)
-def kernel():
-    """The loaded ``t1000_replay`` function, or None. Only a
-    :func:`_private` directory is built into or loaded from, and only a
-    :func:`_private` library is loaded; a cached library that is not,
-    or that fails to load, is rebuilt once."""
+def kernel() -> Kernel | None:
+    """The loaded kernels, or None. Only a :func:`_private` directory is
+    built into or loaded from, and only a :func:`_private` library is
+    loaded; a cached library that is not, or that fails to load, is
+    rebuilt once."""
+    import subprocess
+
     name = f"replay-{cache_key()[:32]}.so"
     cc = compiler()
     for directory in cache_dirs():
@@ -190,13 +227,13 @@ def kernel():
 
 
 def available() -> bool:
-    """True when replays go through the kernel."""
+    """True when the pre-pass and replays go through the kernels."""
     return ENABLED and kernel() is not None
 
 
 @contextmanager
 def disabled() -> Iterator[None]:
-    """Keep replays on the Python fast loop inside the block (not
+    """Keep the pre-pass and replays in Python inside the block (not
     thread-safe: it flips :data:`ENABLED`)."""
     global ENABLED
     before, ENABLED = ENABLED, False
@@ -213,6 +250,61 @@ def _address(column, typecode: str) -> int | None:
     return column.buffer_info()[0]
 
 
+def _geometry(hierarchy: HierarchyConfig, fetch_width: int) -> array:
+    """``_prepass.c``'s ``geom`` layout; OverflowError when a value is
+    no int64."""
+    values = []
+    for level in LEVELS:
+        cfg = getattr(hierarchy, level)
+        if level.endswith("tlb"):
+            values += (cfg.entries // cfg.assoc, cfg.assoc, cfg.page_size,
+                       cfg.miss_penalty)
+        else:
+            values += (cfg.nsets, cfg.assoc, cfg.line_size, cfg.hit_latency)
+    values += (hierarchy.mem_latency, TEXT_BASE, fetch_width)
+    return array("q", values)
+
+
+def prepass(events, indices, addrs, hierarchy: HierarchyConfig,
+            fetch_width: int) -> Prepass | None:
+    """:func:`~repro.sim.ooo.prepass.build_prepass` through the kernel,
+    with ``fcyc`` an ``array("q")``; None when the kernel is unavailable
+    or an input fails its checks (the caller then runs
+    ``build_prepass``, which answers or raises as it always did).
+
+    The kernel refuses exactly the columns :func:`replay` refuses, and
+    also a level that is no power-of-two geometry, larger than it
+    allocates, or with a latency outside ``[0, 2**24]``, and a
+    ``fetch_width`` below 1.
+    """
+    fn = kernel() if ENABLED else None
+    idx_at, addr_at = _address(indices, "i"), _address(addrs, "q")
+    if fn is None or idx_at is None or addr_at is None:
+        return None
+    try:
+        geom = _geometry(hierarchy, fetch_width)
+    except OverflowError:
+        return None
+    table = array("B", events)
+    n = len(indices)
+    fcyc = array("q", [0]) * n
+    mlat = array("i", [0]) * n
+    out = array("q", bytes(8 * (1 + len(LEVELS) * len(_STAT_FIELDS))))
+    code = fn.prepass(
+        n, idx_at, addr_at, len(addrs), table.buffer_info()[0], len(table),
+        geom.buffer_info()[0], fcyc.buffer_info()[0], mlat.buffer_info()[0],
+        out.buffer_info()[0],
+    )
+    if code != _R_OK:
+        return None
+    width = len(_STAT_FIELDS)
+    cache = {
+        level: dict(zip(_STAT_FIELDS, out[1 + i * width:1 + (i + 1) * width]))
+        for i, level in enumerate(LEVELS)
+    }
+    return Prepass(fcyc, mlat, out[0], cache)
+
+
 def replay(
     indices, addrs, fcyc: array, mlat: array, tab: array,
     params: array, conf_lat: array, observed: bool,
@@ -224,7 +316,8 @@ def replay(
 
     ``indices``/``addrs`` are the trace columns (read in place),
     ``fcyc``/``mlat`` the pre-pass's fetch cycles (``"q"``) and load
-    latencies (``"i"``), ``tab`` six ``"i"`` values per static
+    latencies (``"i"``) as :func:`prepass` writes them (a pre-pass built
+    in Python is refused), ``tab`` six ``"i"`` values per static
     instruction, ``params`` the machine (``"q"``, ``_replay.c`` layout)
     and ``conf_lat`` each dense configuration's load latency. With
     ``observed`` the reconfigurations are recorded too.
@@ -232,17 +325,19 @@ def replay(
     fn = kernel() if ENABLED else None
     n = len(indices)
     idx_at, addr_at = _address(indices, "i"), _address(addrs, "q")
-    if fn is None or idx_at is None or addr_at is None \
-            or len(fcyc) != n or len(mlat) != n or len(tab) % 6:
+    fcyc_at, mlat_at = _address(fcyc, "q"), _address(mlat, "i")
+    if fn is None or idx_at is None or addr_at is None or fcyc_at is None \
+            or mlat_at is None or len(fcyc) != n or len(mlat) != n \
+            or len(tab) % 6:
         return None
     # the histogram runs to the widest possible cycle (``_replay.c``)
     out = array("q", bytes(8 * (_O_HIST + min(params[0], params[3], n) + 1)))
     cap = _RECONFIG_CAP if observed else 0
     while True:
         recs = array("q", bytes(32 * cap))
-        code = fn(
-            n, idx_at, addr_at, len(addrs), fcyc.buffer_info()[0],
-            mlat.buffer_info()[0], tab.buffer_info()[0], len(tab) // 6,
+        code = fn.replay(
+            n, idx_at, addr_at, len(addrs), fcyc_at, mlat_at,
+            tab.buffer_info()[0], len(tab) // 6,
             params.buffer_info()[0],
             conf_lat.buffer_info()[0] if conf_lat else None,
             out.buffer_info()[0], len(out),

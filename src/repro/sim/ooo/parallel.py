@@ -33,25 +33,28 @@ class GridCosts(NamedTuple):
     floor: int
 
 
-#: The native kernel, in replays. Measured on a 2-core Intel Xeon VM
-#: under CPython 3.11 with the 194k-instruction ``unepic@2`` selective
-#: trace, medians of 15 runs each: a pre-pass (``build_prepass``,
-#: Python) takes 87-102 ms, about 450-530 ns per instruction, and a
-#: replay through the kernel, simulator construction included,
-#: 5.4-5.8 ms, about 29 ns per instruction, on both a 2-PFU and an
-#: unlimited-PFU machine. On fresh 10k-instruction prefixes, two
-#: pre-passes and two replays took 13.0 ms serially, so a pre-pass is
-#: ~18 replays at either length. The floor, same method, 15 alternating
-#: serial/split runs per point: splitting 2 replays of the full trace
-#: (388k: 11.6 ms serial, 18.1 ms split) lost 13 of 15 runs and 4
-#: replays (776k: 22.4 ms, 18.7 ms) won 12 of 15, so a split's fixed
-#: cost (fork, copy-on-write faults, pickling the stats back) is
-#: ~7-12 ms. On fresh prefixes with two pre-passes and two replays, the
-#: split lost at 10k instructions (380k: 13.0 ms, 14.8 ms, won 5/15) and
-#: won at 20k (760k: 23.9 ms, 21.6 ms, won 10/15). The split breaks even
-#: at ~550k either way; the floor sits at about twice that, where a
-#: split saves about as much as it pays.
-NATIVE = GridCosts(replay=1, prepass=18, floor=1_000_000)
+#: The native kernels, in half replays. Measured on a 2-core Intel Xeon
+#: VM under CPython 3.11 with the 194k-instruction ``unepic@2``
+#: selective trace, medians of 15 runs each: a pre-pass through the
+#: pre-pass kernel takes 1.5 ms, about 8 ns per instruction, and a
+#: replay through the replay kernel, simulator construction included,
+#: 2.7-2.8 ms, about 14 ns per instruction, on both a 2-PFU and an
+#: unlimited-PFU machine. On fresh 10k- and 20k-instruction prefixes,
+#: two pre-passes and two replays took 0.83 and 1.27 ms serially
+#: against 0.26 and 0.41 ms per cached replay, so a pre-pass is about
+#: half a replay at every length (0.53-0.60). The floor, same method,
+#: 15 alternating serial/split runs per point, two rounds, on a VM
+#: whose second core was not always free: splitting 2 replays of the
+#: full trace (388k) lost both rounds (0 and 3 of 15), 3 replays (582k)
+#: lost one round and won the other (1 and 13 of 15), 4 (776k) and
+#: 5 (970k) likewise, and 6 (1.16M) won both (13 and 11 of 15). On
+#: fresh prefixes with two pre-passes and two replays, the split lost
+#: at 80k (160k replays plus the pre-passes, ~240k), and broke about
+#: even at 160k (~480k: 8 and 5 of 15). A split's fixed cost (fork,
+#: copy-on-write faults, pickling the stats back) is ~4-9 ms. The
+#: split breaks even at ~600k replayed instructions; the floor sits at
+#: about twice that, 1.2M, where a split saves about as much as it pays.
+NATIVE = GridCosts(replay=2, prepass=1, floor=2_400_000)
 
 #: The generated Python loop (no compiler, or a ``record_window``), in
 #: half replays: on the same trace and VM a Python replay takes

@@ -107,11 +107,9 @@ _PREPASS_ATTR = "_prepass_cache"
 
 _REPLAY_ATTR = "_replay_tab_cache"
 
-#: Attributes caching the native kernel's inputs on the DynTrace: the
-#: static table (keyed like the replay table) and the pre-pass's fetch
-#: cycles as an ``array`` (keyed by the pre-pass list it converts).
+#: Attribute caching the native replay kernel's static table on the
+#: DynTrace (keyed like the replay table).
 _NATIVE_TAB_ATTR = "_native_tab_cache"
-_NATIVE_FCYC_ATTR = "_native_fcyc_cache"
 
 #: Stall reasons, in the order every replay loop reports them.
 _STALL_REASONS = (
@@ -686,7 +684,8 @@ class OoOSimulator:
 
     def _prepass(self, trace: DynTrace, obs) -> Prepass:
         """The trace's fetch schedule, load latencies and cache statistics
-        (:mod:`repro.sim.ooo.prepass`), cached on the trace instance.
+        (:mod:`repro.sim.ooo.prepass`, built by the native kernel where
+        it is available), cached on the trace instance.
 
         The walk reads the trace columns, the program's instruction
         classes, the memory hierarchy and ``fetch_width`` and nothing
@@ -702,10 +701,10 @@ class OoOSimulator:
         args = (self._events, trace.indices, trace.addrs, cfg.hierarchy,
                 cfg.fetch_width)
         if obs is None:
-            pre = build_prepass(*args)
+            pre = _build_prepass(*args)
         else:
             with obs.span("sim.timing.prepass") as span:
-                pre = build_prepass(*args)
+                pre = _build_prepass(*args)
             span["instructions"] = len(trace)
             for level in LEVELS:
                 span[f"{level}_misses"] = pre.cache[level]["misses"]
@@ -772,10 +771,6 @@ class OoOSimulator:
         unavailable or refuses the inputs."""
         cfg = self.config
         tab, confs = self._native_tab(trace)
-        cached = getattr(trace, _NATIVE_FCYC_ATTR, None)
-        if cached is None or cached[0] is not pre.fcyc:
-            cached = (pre.fcyc, array("q", pre.fcyc))
-            setattr(trace, _NATIVE_FCYC_ATTR, cached)
         params = array("q", (
             cfg.issue_width, cfg.decode_width, cfg.commit_width,
             cfg.ruu_size, cfg.n_ialu, cfg.n_imult, cfg.n_memports,
@@ -785,7 +780,7 @@ class OoOSimulator:
             self._reconfig_by_conf.get(conf, cfg.reconfig_latency)
             for conf in confs
         ))
-        got = native.replay(trace.indices, trace.addrs, cached[1], pre.mlat,
+        got = native.replay(trace.indices, trace.addrs, pre.fcyc, pre.mlat,
                             tab, params, conf_lat, obs is not None)
         if got is None or got is native.OVERFLOW:
             return got
@@ -1227,6 +1222,17 @@ class OoOSimulator:
                 "pfu.reconfig", start, end, track=track,
                 conf=conf, program=prog,
             )
+
+
+def _build_prepass(events, indices, addrs, hierarchy,
+                   fetch_width: int) -> Prepass:
+    """The pre-pass through the native kernel where it is available and
+    takes the inputs, else through :func:`build_prepass`."""
+    if native.available():
+        pre = native.prepass(events, indices, addrs, hierarchy, fetch_width)
+        if pre is not None:
+            return pre
+    return build_prepass(events, indices, addrs, hierarchy, fetch_width)
 
 
 def _prepass_key(trace: DynTrace, program: Program,

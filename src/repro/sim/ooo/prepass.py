@@ -43,8 +43,9 @@ LEVELS = ("il1", "dl1", "ul2", "itlb", "dtlb")
 class Prepass(NamedTuple):
     """Everything the replay needs from fetch and the memory hierarchy."""
 
-    #: fetch cycle of every dynamic instruction
-    fcyc: list[int]
+    #: fetch cycle of every dynamic instruction: a list, or an
+    #: ``array("q")`` when the native kernel built it
+    fcyc: Sequence[int]
     #: load latency of every dynamic load (0 for other instructions)
     mlat: array
     #: total fetch stall cycles charged to I-cache/ITLB misses

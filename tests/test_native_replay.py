@@ -1,15 +1,18 @@
-"""The native replay kernel (:mod:`repro.sim.ooo.native`).
+"""The native kernels (:mod:`repro.sim.ooo.native`): replay and pre-pass.
 
-The kernel is an alternate path for the fast replay loop, so its oracle
-is the reference loop: every ``SimStats`` field must match on the PFU
-models, latency models and rings this file drives it through. Inputs
-the kernel cannot take in place — negative or out-of-range static
-indices, an address column shorter than the index column, list
-columns — must be refused before its loop runs, so the Python path
-answers (or raises) exactly as it did. A missing compiler, a failed
-build and a corrupt cached library all fall back to the Python loop. A
-library in a directory another user owns or can write to, or one that
-is itself writable by others or a symlink, is never loaded.
+The replay kernel is an alternate path for the fast replay loop, so its
+oracle is the reference loop: every ``SimStats`` field must match on the
+PFU models, latency models and rings this file drives it through. The
+pre-pass kernel's oracle is ``build_prepass`` (and, in
+``tests/test_prepass.py``, a walk through ``MemoryHierarchy``). Inputs
+the kernels cannot take in place — negative or out-of-range static
+indices, an address column shorter than the index column, list columns,
+columns of another typecode — must be refused by both before their
+loops run, so the Python path answers (or raises) exactly as it did; a
+hierarchy the pre-pass kernel does not model is refused too. A missing
+compiler, a failed build and a corrupt cached library all fall back to
+Python. A library in a directory another user owns or can write to, or
+one that is itself writable by others or a symlink, is never loaded.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ import pytest
 from repro.engine import get_default_pipeline
 from repro.extinst import SelectionParams
 from repro.sim.functional import FunctionalSimulator
-from repro.sim.ooo import MachineConfig, OoOSimulator, native
+from repro.sim.cache import HierarchyConfig, TLBConfig
+from repro.sim.ooo import MachineConfig, OoOSimulator, native, pipeline
+from repro.sim.ooo.prepass import build_prepass
 from repro.sim.trace import DynTrace
 
 from test_fastpath import _observed_runs
@@ -189,8 +194,173 @@ def test_kernel_refuses_indices_outside_the_table():
     assert replay(indices, addrs, bad_tab) is None
 
 
+def _bad_columns(case, program, trace):
+    """The first 2000 instructions' columns, spoiled as ``case`` says."""
+    indices, addrs = _columns(trace)
+    if case == "negative_index":
+        indices[100] = -1
+    elif case == "index_past_text":
+        indices[100] = len(program.text) + 3
+    elif case == "index_max":
+        indices[-1] = 2**31 - 1
+    elif case == "short_addrs":
+        addrs = addrs[:len(addrs) // 2]
+    elif case == "empty":
+        indices, addrs = array("i"), array("q")
+    elif case == "list_indices":
+        indices = list(indices)
+    elif case == "list_addrs":
+        addrs = list(addrs)
+    elif case == "typecode_indices":
+        indices = array("l", indices)
+    elif case == "typecode_addrs":
+        addrs = array("l", addrs)
+    elif case == "extreme_addrs":
+        for k in range(0, len(addrs), 3):
+            addrs[k] = _EXTREME[k % len(_EXTREME)]
+    else:
+        assert case == "ok"
+    return indices, addrs
+
+
+_COLUMN_CASES = [
+    "ok", "negative_index", "index_past_text", "index_max", "short_addrs",
+    "empty", "list_indices", "list_addrs", "typecode_indices",
+    "typecode_addrs",
+]
+
+
+@pytest.mark.parametrize("case", _COLUMN_CASES)
+def test_replay_and_prepass_refuse_the_same_columns(case):
+    """A replay through the kernel always has a pre-pass the kernel
+    built: the two refuse exactly the same columns."""
+    if not native.available():
+        pytest.skip("native kernel unavailable")
+    program, defs, trace = _rewritten()
+    sim = OoOSimulator(program, MachineConfig(), ext_defs=defs)
+    indices, addrs = _bad_columns(case, program, trace)
+    pre = native.prepass(sim._events, indices, addrs,
+                         sim.config.hierarchy, sim.config.fetch_width)
+    tab, confs = sim._native_tab(trace)
+    n = len(indices)
+    got = native.replay(
+        indices, addrs, array("q", [1]) * n, array("i", [1]) * n, tab,
+        array("q", (4, 4, 4, 64, 4, 1, 2, 2, len(confs), 1 << 12)),
+        array("q", [10] * len(confs)), False)
+    assert (pre is None) == (got is None) == (case != "ok")
+
+
+def _prepass_outcome(build, *args):
+    try:
+        pre = build(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    return "ok", list(pre.fcyc), pre.mlat, pre.fetch_stall, pre.cache
+
+
+_EXTREME = (-2**63, 2**63 - 1, -1, -4096, -2**40 - 3, 2**62 + 17)
+
+
+@pytest.mark.parametrize("case", _COLUMN_CASES[1:] + ["extreme_addrs"])
+def test_prepass_refusals_match_python(case, monkeypatch):
+    """Refused columns fall back to ``build_prepass``, which answers or
+    raises as it always did; negative and extreme int64 addresses are
+    taken, and shift and mask as Python ints do."""
+    program, defs, trace = _rewritten()
+    events = OoOSimulator(program, ext_defs=defs)._events
+    indices, addrs = _bad_columns(case, program, trace)
+    args = (events, indices, addrs, HierarchyConfig(), 4)
+    if native.available():
+        assert (native.prepass(*args) is None) == (case != "extreme_addrs")
+    want = _prepass_outcome(build_prepass, *args)
+    assert _prepass_outcome(pipeline._build_prepass, *args) == want
+    monkeypatch.setattr(native, "ENABLED", False)
+    assert _prepass_outcome(pipeline._build_prepass, *args) == want
+
+
+def test_extreme_addresses_match_reference():
+    program, defs, trace = _rewritten()
+    indices, addrs = _bad_columns("extreme_addrs", program, trace)
+    config = MachineConfig(n_pfus=2, reconfig_latency=10)
+    got = OoOSimulator(program, config, ext_defs=defs).simulate(
+        DynTrace(indices=indices, addrs=addrs))
+    assert vars(got) == _reference(
+        program, defs, DynTrace(indices=indices, addrs=addrs), config)
+
+
+def _hierarchy(**fields):
+    base = HierarchyConfig()
+    return dataclasses.replace(base, **fields)
+
+
+@pytest.mark.parametrize("case", [
+    "latency_past_cap", "negative_penalty", "page_not_pow2",
+    "mlat_overflow", "past_int64",
+])
+def test_hierarchies_the_kernel_refuses(case, calls, monkeypatch):
+    """A hierarchy the pre-pass kernel does not model is built by
+    ``build_prepass``, which answers or raises as it always did; a
+    replay then refuses that pre-pass and runs the Python loop (which
+    cannot hold a load latency past int32, so that case raises as it
+    always did)."""
+    program, defs, trace = _rewritten()
+    hierarchy = {
+        "latency_past_cap": _hierarchy(mem_latency=2**24 + 1),
+        "negative_penalty": _hierarchy(
+            dtlb=TLBConfig("dtlb", entries=128, assoc=4, miss_penalty=-3)),
+        "page_not_pow2": _hierarchy(
+            itlb=TLBConfig("itlb", entries=64, assoc=4, page_size=3000)),
+        "mlat_overflow": _hierarchy(mem_latency=2**40),
+        "past_int64": _hierarchy(mem_latency=2**70),
+    }[case]
+    events = OoOSimulator(program, ext_defs=defs)._events
+    indices, addrs = _columns(trace)
+    args = (events, indices, addrs, hierarchy, 4)
+    assert native.prepass(*args) is None
+    assert _prepass_outcome(pipeline._build_prepass, *args) == \
+        _prepass_outcome(build_prepass, *args)
+    config = MachineConfig(hierarchy=hierarchy)
+    got = _outcome(program, defs, DynTrace(indices=indices, addrs=addrs),
+                   config)
+    assert "replayed" not in calls
+    if case in ("latency_past_cap", "negative_penalty"):
+        assert got == _outcome(
+            program, defs, DynTrace(indices=indices, addrs=addrs),
+            dataclasses.replace(config, sim_fast_path=False))
+    monkeypatch.setattr(native, "ENABLED", False)
+    assert got == _outcome(program, defs,
+                           DynTrace(indices=indices, addrs=addrs), config)
+
+
 # ----------------------------------------------------------------------
 # build cache and fallback
+
+
+def test_importing_the_simulator_loads_no_build_modules():
+    """``ctypes``, ``hashlib``, ``subprocess`` and ``sysconfig`` are for
+    building and loading the library: importing the simulator must not
+    load them."""
+    import subprocess
+    import sys
+
+    code = ("import sys, repro.sim.ooo\n"
+            "print(sorted({'ctypes', 'hashlib', 'subprocess', 'sysconfig'}"
+            " & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_cache_key_covers_every_source(monkeypatch, tmp_path):
+    key = native.cache_key()
+    for source in native.SOURCES:
+        copy = tmp_path / source.name
+        copy.write_bytes(source.read_bytes() + b"\n")
+        edited = [copy if s is source else s for s in native.SOURCES]
+        monkeypatch.setattr(native, "SOURCES", tuple(edited))
+        assert native.cache_key() != key, source.name
+        monkeypatch.undo()
 
 
 def test_cache_location_and_key(monkeypatch, tmp_path):

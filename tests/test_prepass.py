@@ -1,8 +1,10 @@
 """Differential tests for the event-driven fetch/cache pre-pass.
 
-:func:`repro.sim.ooo.prepass.build_prepass` serves most cache and TLB
-hits inline through per-set MRU mirrors. Its oracle here is the plain
-walk it replaces: every fetch-line change, load and store sent through
+The pre-pass has two builders: :func:`repro.sim.ooo.prepass.build_prepass`,
+which serves most cache and TLB hits inline through per-set MRU
+mirrors, and the native kernel (:func:`repro.sim.ooo.native.prepass`),
+which models every level itself. Their oracle here is the plain walk
+both replace: every fetch-line change, load and store sent through
 :class:`~repro.sim.cache.hierarchy.MemoryHierarchy` in program order,
 with the reference loop's fetch-stage bookkeeping. Fetch cycles, load
 latencies, the fetch-stall total and all five levels' statistics must
@@ -29,7 +31,7 @@ from repro.sim.cache import (
     CacheConfig, HierarchyConfig, MemoryHierarchy, TLBConfig,
 )
 from repro.sim.functional import FunctionalSimulator
-from repro.sim.ooo import MachineConfig, OoOSimulator, simulate_many
+from repro.sim.ooo import MachineConfig, OoOSimulator, native, simulate_many
 from repro.sim.ooo import pipeline
 from repro.sim.ooo.prepass import (
     EV_CTRL, EV_LOAD, EV_NONE, EV_STORE, LEVELS, Prepass, build_prepass,
@@ -104,6 +106,20 @@ def reference_walk(events, indices, addrs, hierarchy, fetch_width) -> Prepass:
     return Prepass(fcyc, mlat, stall, cache)
 
 
+def _native_prepass(events, indices, addrs, hierarchy, fetch_width):
+    """The native kernel's pre-pass, its ``fcyc`` as a list so it
+    compares field for field with ``build_prepass``'s."""
+    pre = native.prepass(events, indices, addrs, hierarchy, fetch_width)
+    assert pre is not None, "the kernel refused the inputs"
+    assert type(pre.fcyc) is array and pre.fcyc.typecode == "q"
+    return pre._replace(fcyc=pre.fcyc.tolist())
+
+
+def _need_kernel():
+    if not native.available():
+        pytest.skip("native kernel unavailable")
+
+
 @lru_cache(maxsize=None)
 def _workload_traces(name: str):
     """(program, trace) for the plain and selective-rewritten workload."""
@@ -119,18 +135,27 @@ def _workload_traces(name: str):
     return out
 
 
-@pytest.mark.parametrize("name", WORKLOAD_NAMES)
-def test_matches_reference_walk_on_every_workload(name):
+def _check_workload(name, builder):
     for program, trace in _workload_traces(name):
         events = [_EVENT_OF.get(instr.op_class, EV_NONE)
                   for instr in program.text]
         assert OoOSimulator(program)._events == events
         for label, hierarchy in HIERARCHIES.items():
-            got = build_prepass(events, trace.indices, trace.addrs,
-                                hierarchy, 4)
+            got = builder(events, trace.indices, trace.addrs, hierarchy, 4)
             want = reference_walk(events, trace.indices, trace.addrs,
                                   hierarchy, 4)
             assert got == want, (name, program.name, label)
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_matches_reference_walk_on_every_workload(name):
+    _check_workload(name, build_prepass)
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_native_matches_reference_walk_on_every_workload(name):
+    _need_kernel()
+    _check_workload(name, _native_prepass)
 
 
 def test_small_hierarchies_exercise_every_slow_path():
@@ -197,8 +222,12 @@ def _streams(draw):
     return events, array("i", indices), array("q", addrs)
 
 
+_STREAM_CASES = (_streams(), st.sampled_from(_TINY + [_BASE]),
+                 st.integers(1, 4))
+
+
 @settings(max_examples=100, deadline=None)
-@given(_streams(), st.sampled_from(_TINY + [_BASE]), st.integers(1, 4))
+@given(*_STREAM_CASES)
 def test_matches_reference_walk_on_random_streams(stream, hierarchy, width):
     events, indices, addrs = stream
     got = build_prepass(events, indices, addrs, hierarchy, width)
@@ -206,21 +235,35 @@ def test_matches_reference_walk_on_random_streams(stream, hierarchy, width):
     assert got == want
 
 
+def test_native_matches_reference_walk_on_random_streams():
+    _need_kernel()
+
+    @settings(max_examples=100, deadline=None)
+    @given(*_STREAM_CASES)
+    def check(stream, hierarchy, width):
+        events, indices, addrs = stream
+        got = _native_prepass(events, indices, addrs, hierarchy, width)
+        want = reference_walk(events, indices, addrs, hierarchy, width)
+        assert got == want
+
+    check()
+
+
 # ----------------------------------------------------------------------
 # the per-trace cache
 
 
 def _count_builds(monkeypatch, log):
-    """Count ``build_prepass`` calls, also those made in the processes
-    ``simulate_many`` forks: each call appends one byte to ``log``."""
-    real = pipeline.build_prepass
+    """Count pre-pass builds (native or Python), also those made in the
+    processes ``simulate_many`` forks: each appends one byte to ``log``."""
+    real = pipeline._build_prepass
 
     def counting(*args):
         with open(log, "ab") as out:
             out.write(b".")
         return real(*args)
 
-    monkeypatch.setattr(pipeline, "build_prepass", counting)
+    monkeypatch.setattr(pipeline, "_build_prepass", counting)
     return lambda: log.stat().st_size if log.exists() else 0
 
 

@@ -215,12 +215,16 @@ def test_failed_fork_runs_the_shard_here(monkeypatch):
 def _big_grid():
     """A grid well above the work floor, which jobs=None would fork."""
     program, defs, trace = _rewritten("unepic")
-    configs = GRID[:8]
-    # two hierarchies: whichever pre-pass is cached, one is built
-    native_costs = parallel.NATIVE
-    assert len(trace) * (len(configs) + native_costs.prepass) \
-        >= native_costs.floor
+    configs = GRID[:12]
+    assert _least_work(trace, configs) >= parallel.NATIVE.floor
     return program, defs, trace, configs
+
+
+def _least_work(trace, configs):
+    """A two-hierarchy grid's work on the native path: whichever
+    pre-pass is cached, one is built."""
+    costs = parallel.NATIVE
+    return len(trace) * (costs.replay * len(configs) + costs.prepass)
 
 
 def test_automatic_split_forks_when_it_pays(monkeypatch, forks):
@@ -274,7 +278,7 @@ def test_automatic_policy_stays_serial(case, monkeypatch, forks):
 
     if case == "one_config":     # on a trace that clears the floor alone
         program, defs, trace = _rewritten("unepic")
-        trace = DynTrace(indices=trace.indices, addrs=trace.addrs)
+        trace = DynTrace(indices=trace.indices * 7, addrs=trace.addrs * 7)
         configs = GRID[:1]
         assert len(trace) * parallel.grid_cost([0], None, parallel.NATIVE) \
             >= parallel.NATIVE.floor
@@ -345,13 +349,16 @@ def test_split_grid_balances_replays_and_prepass_builds():
     # alternative builds its own, the 8 replay the inherited one
     labels = [0] + [1] * 8
     nat, py, ref = parallel.NATIVE, parallel.PYTHON, parallel.REFERENCE
-    assert nat.prepass == 18 and nat.replay == 1
-    assert parallel.split_grid(labels, 1, 2, nat) == [(0, 1), (1, 9)]
-    assert parallel.split_grid(labels, None, 2, nat) == [(0, 1), (1, 9)]
+    # the native kernels: a pre-pass is half a replay
+    assert (nat.replay, nat.prepass) == (2, 1)
+    assert parallel.split_grid(labels, 1, 2, nat) == [(0, 4), (4, 9)]
+    assert parallel.grid_cost(labels, 1, nat, 0, 4) == 2 * 4 + 2
+    assert parallel.grid_cost(labels, 1, nat, 4, 9) == 2 * 5
+    assert parallel.split_grid(labels, None, 2, nat) == [(0, 4), (4, 9)]
     # the alternative cached instead: each shard builds the main one
     assert parallel.split_grid(labels, 0, 2, nat) == [(0, 5), (5, 9)]
-    assert parallel.grid_cost(labels, 0, nat, 0, 5) == 5 + 18
-    assert parallel.grid_cost(labels, 0, nat, 5, 9) == 4 + 18
+    assert parallel.grid_cost(labels, 0, nat, 0, 5) == 2 * 5 + 1
+    assert parallel.grid_cost(labels, 0, nat, 5, 9) == 2 * 4 + 1
     assert parallel.split_grid(labels, None, 1, nat) == [(0, 9)]
     # the Python loop: a pre-pass is half a replay
     assert (py.replay, py.prepass) == (2, 1)
@@ -380,10 +387,11 @@ def test_split_grid_balances_replays_and_prepass_builds():
 def test_split_follows_the_replay_path(path, monkeypatch):
     """The split weights and the work floor are those of the path the
     grid replays on: on replay_grid's shape with the main pre-pass
-    cached, the native kernel gives the parent the 8 main configurations
-    and keeps a 24k-instruction grid serial, while the Python loop (a
-    pre-pass is half a replay) and the reference loop (no pre-pass)
-    split it as they always did."""
+    cached, the native kernels and the Python loop (on both a pre-pass
+    is half a replay) give the parent the last 5 main configurations,
+    and the native kernels keep a 24k-instruction grid serial, while
+    the Python loop and the reference loop (no pre-pass) split it as
+    they always did."""
     if path == "native" and not native.available():
         pytest.skip("native kernel unavailable")
     if path == "python":
@@ -405,7 +413,7 @@ def test_split_follows_the_replay_path(path, monkeypatch):
     monkeypatch.setattr(parallel, "run_forked", run_here)
     got = simulate_many(program, trace, configs, ext_defs=defs, jobs=2)
     assert [_dump(s) for s in got] == [_dump(s) for s in want]
-    split = {"native": [list(range(1, 9)), [0]],
+    split = {"native": [list(range(4, 9)), [0, 1, 2, 3]],
              "python": [list(range(4, 9)), [0, 1, 2, 3]],
              "reference": [[0, 1, 2, 3, 4], [5, 6, 7, 8]]}[path]
     assert shards == [split]
@@ -424,7 +432,7 @@ def test_served_batch_never_forks(monkeypatch):
     program, defs, trace, configs = _big_grid()
     monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
     assert parallel.worker_count(None, len(configs),
-                                 len(trace) * len(configs),
+                                 _least_work(trace, configs),
                                  parallel.NATIVE.floor) == 2
 
     def no_fork():
