@@ -1,7 +1,8 @@
 """Simulator-throughput micro-benchmarks (regression guards, not a paper
 artefact): the functional interpreter and the OoO timing model on a
-fixed medium-sized kernel, and OoO replay and the fetch/cache pre-pass
-through the native kernels on a long rewritten trace.
+fixed medium-sized kernel, and OoO replay, the fetch/cache pre-pass and
+a traced functional run through the native kernels on a long rewritten
+trace.
 """
 
 import pytest
@@ -88,3 +89,14 @@ def test_prepass_native(benchmark, unepic_rewrite):
         sim._events, trace.indices, trace.addrs, sim.config.hierarchy,
         sim.config.fetch_width))
     assert len(pre.fcyc) == len(trace)
+
+
+def test_functional_native(benchmark, unepic_rewrite):
+    """One traced functional run of the rewrite, construction included,
+    as a sweep's validation runs it: through the native kernel where a C
+    compiler exists (a host without one measures the block-compiled
+    interpreter, and the gate shows it)."""
+    program, defs, trace = unepic_rewrite
+    result = benchmark(lambda: FunctionalSimulator(
+        program, ext_defs=defs).run(collect_trace=True))
+    assert result.trace.indices == trace.indices

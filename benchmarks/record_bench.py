@@ -21,6 +21,7 @@ Usage::
     PYTHONPATH=src python benchmarks/record_bench.py          # write baseline
     PYTHONPATH=src python benchmarks/record_bench.py --only native_replay
     PYTHONPATH=src python benchmarks/record_bench.py --only native_prepass
+    PYTHONPATH=src python benchmarks/record_bench.py --only native_functional
     PYTHONPATH=src python benchmarks/record_bench.py --compare out.json
 """
 
@@ -183,6 +184,48 @@ def _measure_native_prepass() -> dict:
             "ops_per_s": round(len(trace) / native_s),
             "python_median_s": round(python_s, 6),
             "speedup_vs_python": round(python_s / native_s, 2),
+            "instructions": len(trace),
+            "cores": parallel.usable_cores(),
+        },
+    }
+
+
+def _measure_native_functional() -> dict:
+    """``bench_simulator_perf.test_functional_native``: one traced
+    functional run (construction included) of the ``unepic``@2 selective
+    2-PFU rewrite, through the native kernel, the block-compiled
+    interpreter and the reference loop. Recording aborts unless the
+    kernel is loaded and the three runs are equal field for field."""
+    from repro.fuzz import check_functional
+    from repro.sim.ooo import native, parallel
+
+    if not native.available():
+        raise SystemExit("native functional kernel unavailable "
+                         "(no C compiler?)")
+    rewritten, defs, trace = _unepic_rewrite()
+    try:
+        check_functional(rewritten, defs)
+    except AssertionError as exc:
+        raise SystemExit(f"native, block-compiled and reference functional "
+                         f"runs diverged: {exc}") from None
+
+    def run(compile_blocks=None):
+        return FunctionalSimulator(
+            rewritten, ext_defs=defs, compile_blocks=compile_blocks
+        ).run(collect_trace=True)
+
+    native_s = _median_seconds(run, repeats=15)
+    with native.disabled():
+        blocks_s = _median_seconds(run)
+    ref_s = _median_seconds(lambda: run(False), repeats=3)
+    return {
+        "test_functional_native": {
+            "median_s": round(native_s, 6),
+            "ops_per_s": round(len(trace) / native_s),
+            "blocks_median_s": round(blocks_s, 6),
+            "reference_median_s": round(ref_s, 6),
+            "speedup_vs_blocks": round(blocks_s / native_s, 2),
+            "speedup_vs_reference": round(ref_s / native_s, 2),
             "instructions": len(trace),
             "cores": parallel.usable_cores(),
         },
@@ -359,6 +402,7 @@ SOURCES = {
     "simulator": _measure_simulator,
     "native_replay": _measure_native_replay,
     "native_prepass": _measure_native_prepass,
+    "native_functional": _measure_native_functional,
     "explore_pruning": _measure_explore_pruning,
     "selector_runtime": _measure_selection,
     "wire_framing": _measure_wire_framing,

@@ -7,10 +7,11 @@ property tests: usable from a CLI (``t1000 fuzz``) or CI job to hammer
 the folding machinery for as long as desired.
 
 The campaign also differentially fuzzes the simulators themselves: for
-every generated program (and every rewrite of it), the block-compiled
-functional interpreter must produce an :class:`ExecutionResult`
-identical to the reference loop's, and the dense-window timing replay
-an identical :class:`SimStats` (see :func:`check_simulators`).  Every
+every generated program (and every rewrite of it), the native
+functional kernel and the block-compiled functional interpreter must
+produce an :class:`ExecutionResult` identical to the reference loop's
+(:func:`check_functional`), and the dense-window timing replay an
+identical :class:`SimStats` (see :func:`check_simulators`).  Every
 generated trace is additionally round-tripped through the binary wire
 framing (:func:`check_wire_framing`) to pin the serve path's codec.
 
@@ -160,12 +161,52 @@ def narrow_machine():
     return MachineConfig(n_ialu=2, n_memports=1, ruu_size=48)
 
 
+def check_functional(program: Program, ext_defs=None):
+    """Run ``program`` with trace and profile through the native kernel
+    (the default fast path), the block-compiled interpreter (the fast
+    path with the kernel disabled) and the reference loop, and assert
+    that all three agree: steps, registers, memory (stack included),
+    trace, execution counts and bitwidth profile. Without a loaded
+    kernel the first two runs take the same path. Returns the native
+    run."""
+    from repro.extinst.validate import memory_snapshot
+    from repro.sim.functional import FunctionalSimulator
+    from repro.sim.ooo import native
+
+    def run(compile_blocks):
+        return FunctionalSimulator(
+            program, ext_defs=ext_defs, compile_blocks=compile_blocks
+        ).run(collect_trace=True, profile=True)
+
+    fast = run(True)
+    with native.disabled():
+        blocks = run(True)
+    ref = run(False)
+    for label, other in (("block-compiled", blocks), ("native", fast)):
+        assert other.steps == ref.steps, f"{label} step counts diverged"
+        assert other.regs == ref.regs, f"{label} register files diverged"
+        assert memory_snapshot(other.memory, include_stack=True) == \
+            memory_snapshot(ref.memory, include_stack=True), \
+            f"{label} memory diverged"
+        assert other.trace.indices == ref.trace.indices, \
+            f"{label} trace indices diverged"
+        assert other.trace.addrs == ref.trace.addrs, \
+            f"{label} trace addresses diverged"
+        assert other.exec_counts == ref.exec_counts, \
+            f"{label} execution counts diverged"
+        assert other.bitwidths.max_operand_width == \
+            ref.bitwidths.max_operand_width, \
+            f"{label} operand widths diverged"
+        assert other.bitwidths.max_result_width == \
+            ref.bitwidths.max_result_width, f"{label} result widths diverged"
+    return fast
+
+
 def check_simulators(program: Program, ext_defs=None) -> None:
     """Differentially check the fast simulation paths on ``program``.
 
-    Runs the block-compiled functional interpreter against the reference
-    interpreter (architectural state, trace, execution counts, bitwidth
-    profile must all match), then replays the trace through the timing
+    Runs the functional paths against each other
+    (:func:`check_functional`), then replays the trace through the timing
     model's fast path — the native kernels where they are available,
     and the Python pre-pass and generated Python loop — and the
     reference loop (``SimStats`` must match field-for-field), on the
@@ -178,29 +219,11 @@ def check_simulators(program: Program, ext_defs=None) -> None:
     """
     import dataclasses
 
-    from repro.extinst.validate import memory_snapshot
-    from repro.sim.functional import FunctionalSimulator
     from repro.sim.ooo import MachineConfig, OoOSimulator, simulate_many
     from repro.sim.ooo import native
     from repro.sim.ooo.prepass import build_prepass
 
-    fast = FunctionalSimulator(
-        program, ext_defs=ext_defs, compile_blocks=True
-    ).run(collect_trace=True, profile=True)
-    ref = FunctionalSimulator(
-        program, ext_defs=ext_defs, compile_blocks=False
-    ).run(collect_trace=True, profile=True)
-    assert fast.steps == ref.steps, "step counts diverged"
-    assert fast.regs == ref.regs, "register files diverged"
-    assert memory_snapshot(fast.memory, include_stack=True) == \
-        memory_snapshot(ref.memory, include_stack=True), "memory diverged"
-    assert fast.trace.indices == ref.trace.indices, "trace indices diverged"
-    assert fast.trace.addrs == ref.trace.addrs, "trace addresses diverged"
-    assert fast.exec_counts == ref.exec_counts, "execution counts diverged"
-    assert fast.bitwidths.max_operand_width == \
-        ref.bitwidths.max_operand_width, "operand widths diverged"
-    assert fast.bitwidths.max_result_width == \
-        ref.bitwidths.max_result_width, "result widths diverged"
+    fast = check_functional(program, ext_defs)
     check_wire_framing(fast.trace)
 
     machines = {

@@ -1,5 +1,12 @@
 """Block-compiled fast path for the functional simulator.
 
+Where the native functional kernel (``sim/ooo/_functional.c``) is
+loaded it runs every fast-path run it accepts; this interpreter runs the
+rest: hosts without a C compiler, runs under ``native.disabled()``, and
+the programs the kernel refuses. It is the kernel's fallback and, in
+the differential tests, its first oracle, with the reference loop
+behind both.
+
 The reference interpreter (:meth:`FunctionalSimulator._run`) dispatches
 every dynamic instruction on a small integer kind. This module removes
 that per-instruction dispatch entirely: at first use the program is

@@ -27,10 +27,17 @@ class Memory:
     # ------------------------------------------------------------------
 
     def load_image(self, base: int, image: bytes) -> None:
-        """Copy ``image`` into memory starting at ``base``."""
-        for offset, byte in enumerate(image):
+        """Copy ``image`` into memory starting at ``base``, one page-sized
+        slice at a time (every page the image touches is allocated, as
+        byte-wise writes would allocate it)."""
+        offset = 0
+        while offset < len(image):
             addr = (base + offset) & ADDR_MASK
-            self._page_for_write(addr)[addr & PAGE_MASK] = byte
+            start = addr & PAGE_MASK
+            size = min(len(image) - offset, PAGE_SIZE - start)
+            self._page_for_write(addr)[start:start + size] = \
+                image[offset:offset + size]
+            offset += size
 
     def _page_for_write(self, addr: int) -> bytearray:
         page = self._pages.get(addr >> PAGE_BITS)

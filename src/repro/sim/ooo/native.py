@@ -1,14 +1,20 @@
-"""The native kernels: ``_replay.c`` and ``_prepass.c``, built into one
-library once per host and called through :mod:`ctypes`.
+"""The native kernels: ``_replay.c``, ``_prepass.c`` and
+``_functional.c``, built into one library once per host and called
+through :mod:`ctypes`.
 
 ``t1000_replay`` computes what the generated Python fast loop computes
 (:func:`repro.sim.ooo.pipeline._fast_loop_source`) for any machine, at
 about 20 ns per instruction instead of about 900. ``t1000_prepass``
 computes what :func:`repro.sim.ooo.prepass.build_prepass` computes, at
-a few ns per instruction instead of about 250. The OoO simulator uses
-the pre-pass kernel for every pre-pass and the replay kernel for every
-fast-path replay that records no timeline (see docs/simulator.md,
-"Native pre-pass" and "Native replay kernel").
+a few ns per instruction instead of about 250. ``t1000_functional``
+runs a program as :class:`~repro.sim.functional.FunctionalSimulator`'s
+reference loop does, at about 10–20 ns per instruction instead of
+about 1,200–1,900 (500–700 block-compiled). The OoO simulator uses the
+pre-pass kernel for every pre-pass and the replay kernel for every
+fast-path replay that records no timeline; the functional simulator
+uses the functional kernel for every fast-path run it accepts (see
+docs/simulator.md, "Native pre-pass", "Native replay kernel" and
+"Native functional kernel").
 
 The shared library is built by the system C compiler on first use and
 cached under ``$T1000_CACHE_DIR/native/`` if that is set, else under the
@@ -21,8 +27,8 @@ concurrent builders are safe. A directory or library that is not this
 user's own, or that another user could write to, is never built into or
 loaded from (:func:`_private`): the temp directory's name is
 predictable, so anyone could create it first. With no compiler, or a
-build or load that fails, :func:`kernel` returns None and the pre-pass
-and replay stay in Python.
+build or load that fails, :func:`kernel` returns None and functional
+runs, the pre-pass and replay stay in Python.
 
 ``ctypes``, ``hashlib``, ``subprocess`` and ``sysconfig`` are imported
 only by the functions that build and load the library, so importing the
@@ -45,15 +51,18 @@ from typing import Iterator, NamedTuple
 from repro.isa.encoding import TEXT_BASE
 from repro.sim.cache.cache import CacheStats
 from repro.sim.cache.hierarchy import HierarchyConfig
+from repro.sim.memory import PAGE_BITS, PAGE_SIZE
 from repro.sim.ooo.prepass import LEVELS, Prepass
 
 #: The library's sources: the header first, then one file per kernel.
 SOURCES = tuple(Path(__file__).with_name(name)
-                for name in ("_kernel.h", "_replay.c", "_prepass.c"))
+                for name in ("_kernel.h", "_replay.c", "_prepass.c",
+                             "_functional.c"))
 CFLAGS = ("-O2", "-shared", "-fPIC")
 
-#: Run the pre-pass and replays through the kernels when they are
-#: available. Setting this to False keeps both in Python.
+#: Run functional runs, the pre-pass and replays through the kernels
+#: when they are available. Setting this to False keeps all three in
+#: Python.
 ENABLED = True
 
 #: :func:`replay`'s answer when the issue cycle drifted ``horizon`` or
@@ -71,10 +80,11 @@ _STAT_FIELDS = tuple(f.name for f in fields(CacheStats))
 
 
 class Kernel(NamedTuple):
-    """The library's two entry points."""
+    """The library's three entry points."""
 
     replay: object
     prepass: object
+    functional: object
 
 
 class Replay(NamedTuple):
@@ -192,7 +202,12 @@ def _load(path: Path) -> Kernel:
     prepass = lib.t1000_prepass
     prepass.restype = ctypes.c_int
     prepass.argtypes = [i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr]
-    return Kernel(replay, prepass)
+    functional = lib.t1000_functional
+    functional.restype = ctypes.c_int
+    functional.argtypes = [
+        ptr, i64, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+    ]
+    return Kernel(replay, prepass, functional)
 
 
 @lru_cache(maxsize=1)
@@ -227,14 +242,15 @@ def kernel() -> Kernel | None:
 
 
 def available() -> bool:
-    """True when the pre-pass and replays go through the kernels."""
+    """True when functional runs, the pre-pass and replays go through
+    the kernels."""
     return ENABLED and kernel() is not None
 
 
 @contextmanager
 def disabled() -> Iterator[None]:
-    """Keep the pre-pass and replays in Python inside the block (not
-    thread-safe: it flips :data:`ENABLED`)."""
+    """Keep functional runs, the pre-pass and replays in Python inside
+    the block (not thread-safe: it flips :data:`ENABLED`)."""
     global ENABLED
     before, ENABLED = ENABLED, False
     try:
@@ -358,3 +374,120 @@ def replay(
         [tuple(recs[i:i + 4]) for i in range(0, 4 * n_recs, 4)]
         if observed else [],
     )
+
+
+#: :func:`functional`'s statuses: ``_kernel.h``'s ``R_OK`` for a halt,
+#: then ``_functional.c``'s fault codes
+F_HALTED, F_STEPS, F_PC, F_BADTEXT, F_MISALIGNED, F_UNMAPPED = (
+    _R_OK, 4, 5, 6, 7, 8)
+_F_NEEDPAGE, _F_TRACEFULL = 9, 10
+#: ``_functional.c``'s ``state`` layout: scalars, then the 32 registers
+(S_PC, S_STEPS, S_MAX_STEPS, S_STRICT, S_TEXT_BASE, S_TLEN, S_TCAP, S_AUX,
+ S_AUX2, S_REGS) = range(10)
+#: values per static instruction in the code table
+CODE_WIDTH = 6
+#: values per ext node in the node table
+NODE_WIDTH = 5
+#: trace entries the columns start with; they double whenever full
+_TRACE_START = 1 << 13
+_INT64_MAX = 2**63 - 1
+
+
+class FunctionalRun(NamedTuple):
+    """One finished :func:`functional` call."""
+
+    #: :data:`F_HALTED` or the fault the run stopped at
+    status: int
+    #: the final ``state`` (``S_*`` layout): pc, steps, the fault's
+    #: address (and access size), registers
+    state: array
+    #: the ``(indices, addrs)`` trace columns, when asked for
+    trace: tuple[array, array] | None
+    #: per-instruction exec counts, when profiling
+    counts: array | None
+    #: per-instruction ``(max operand, max result)`` widths, when profiling
+    widths: tuple[array, array] | None
+
+
+def functional(code: array, nodes: array, spans: array, memory, regs,
+               pc: int, max_steps: int, collect_trace: bool,
+               profile: bool) -> FunctionalRun | None:
+    """Run a program through ``t1000_functional``; None when the kernel
+    is unavailable or refuses the inputs (then nothing has run, and the
+    caller takes its Python path).
+
+    ``code`` is the program's instruction table (:data:`CODE_WIDTH`
+    ``"q"`` values per static instruction), ``nodes``/``spans`` the ext
+    configurations' node table and per-configuration ``(first node,
+    count)`` (``_functional.c`` layouts). ``memory`` is the
+    :class:`~repro.sim.memory.Memory` the run reads and writes in place:
+    when a store needs a page it does not have, the kernel returns, this
+    function allocates the page through ``memory`` and resumes; likewise
+    it doubles the trace columns whenever they fill up, and cuts them to
+    the run's length at the end.
+    """
+    fn = kernel() if ENABLED else None
+    if fn is None or not isinstance(max_steps, int):
+        return None
+    import ctypes
+
+    table = (ctypes.c_void_p * (1 << (32 - PAGE_BITS)))()
+
+    def map_page(number: int, page: bytearray) -> None:
+        table[number] = ctypes.addressof(ctypes.c_char.from_buffer(page))
+
+    for number, page in memory._pages.items():
+        if not 0 <= number < len(table) or type(page) is not bytearray \
+                or len(page) != PAGE_SIZE:
+            return None
+        map_page(number, page)
+
+    state = array("q", [0]) * (S_REGS + 32)
+    state[S_PC] = pc
+    # a budget past int64 is never reached, and one below zero runs
+    # nothing, like a zero budget
+    state[S_MAX_STEPS] = min(max(max_steps, 0), _INT64_MAX)
+    state[S_STRICT] = bool(memory.strict)
+    state[S_TEXT_BASE] = TEXT_BASE
+    state[S_REGS:] = array("q", regs)
+    trace = counts = widths = None
+    if collect_trace:
+        cap = max(1, min(_TRACE_START, state[S_MAX_STEPS]))
+        trace = (array("i", [0]) * cap, array("q", [0]) * cap)
+        state[S_TCAP] = cap
+    n_static = len(code) // CODE_WIDTH
+    if profile:
+        counts = array("q", [0]) * n_static
+        widths = (array("i", [0]) * n_static, array("i", [0]) * n_static)
+
+    def at(column):
+        return None if column is None else column.buffer_info()[0]
+
+    while True:
+        status = fn.functional(
+            code.buffer_info()[0], n_static,
+            at(nodes), len(nodes) // NODE_WIDTH,
+            at(spans), len(spans) // 2,
+            ctypes.addressof(table), state.buffer_info()[0],
+            *(at(c) for c in trace or (None, None)), at(counts),
+            *(at(c) for c in widths or (None, None)),
+        )
+        if status == _F_NEEDPAGE:
+            number = state[S_AUX]
+            map_page(number,
+                     memory._page_for_write(number << PAGE_BITS))
+        elif status == _F_TRACEFULL:
+            for column in trace:
+                column *= 2
+            state[S_TCAP] = len(trace[0])
+        elif status == _R_BADINPUT:
+            # checked before the first instruction, and every state the
+            # kernel writes back passes the check
+            assert state[S_STEPS] == 0
+            return None
+        else:
+            break
+    if trace is not None:
+        for column in trace:
+            del column[state[S_TLEN]:]
+    return FunctionalRun(status, state, trace, counts, widths)

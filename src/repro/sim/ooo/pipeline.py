@@ -38,7 +38,7 @@ from repro.isa.encoding import TEXT_BASE
 from repro.obs import get_recorder
 from repro.isa.opcodes import OpClass, Opcode
 from repro.program.program import Program
-from repro.sim.cache.hierarchy import MemoryHierarchy
+from repro.sim.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.sim.ooo.branchpred import BimodalPredictor, is_conditional
 from repro.sim.ooo import native, parallel
 from repro.sim.ooo.config import MachineConfig
@@ -517,12 +517,28 @@ def _fast_eligible(cfg: MachineConfig) -> bool:
     """The fast path requires the paper's perfect branch prediction:
     with a bimodal predictor, fetch redirects change the I-cache access
     sequence, so cache latencies cannot be precomputed from the trace
-    alone."""
+    alone. Its pre-pass also keeps load latencies in an int32 column,
+    so a hierarchy with a load latency past int32 replays on the
+    reference loop."""
     if not cfg.sim_fast_path:
         return False
     if cfg.branch_predictor != "perfect":
         return False
+    if not _load_latencies_fit(cfg.hierarchy):
+        return False
     return os.environ.get("REPRO_SIM_REFERENCE", "") not in ("1", "true")
+
+
+def _load_latencies_fit(h: HierarchyConfig) -> bool:
+    """Every latency a load can see (a dtlb hit or miss, then dl1, ul2
+    or memory) fits the pre-pass's int32 ``mlat`` column."""
+    for tlb in (0, h.dtlb.miss_penalty):
+        latency = tlb + h.dl1.hit_latency
+        for extra in (0, h.ul2.hit_latency, h.mem_latency):
+            latency += extra
+            if not -2**31 <= latency < 2**31:
+                return False
+    return True
 
 
 class OoOSimulator:

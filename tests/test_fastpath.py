@@ -35,10 +35,13 @@ from repro.workloads import WORKLOAD_NAMES, build_workload
 
 
 def _functional_results(program, ext_defs=None):
-    """Run ``program`` through both functional paths (trace + profile)."""
-    fast = FunctionalSimulator(
-        program, ext_defs=ext_defs, compile_blocks=True
-    ).run(collect_trace=True, profile=True)
+    """Run ``program`` through the block-compiled path (with the native
+    kernel disabled; ``tests/test_native_functional.py`` checks the
+    kernel) and the reference loop (trace + profile)."""
+    with native.disabled():
+        fast = FunctionalSimulator(
+            program, ext_defs=ext_defs, compile_blocks=True
+        ).run(collect_trace=True, profile=True)
     ref = FunctionalSimulator(
         program, ext_defs=ext_defs, compile_blocks=False
     ).run(collect_trace=True, profile=True)
@@ -82,9 +85,10 @@ class TestRewrittenFunctionalEquivalence:
         fast, ref = _functional_results(program, defs)
         _assert_results_equal(fast, ref)
         # the plain (non-profiling) block variant, as validation runs it
-        fast = FunctionalSimulator(
-            program, ext_defs=defs, compile_blocks=True
-        ).run(collect_trace=True)
+        with native.disabled():
+            fast = FunctionalSimulator(
+                program, ext_defs=defs, compile_blocks=True
+            ).run(collect_trace=True)
         assert (fast.steps, fast.regs) == (ref.steps, ref.regs)
         assert memory_snapshot(fast.memory, include_stack=True) == \
             memory_snapshot(ref.memory, include_stack=True)
