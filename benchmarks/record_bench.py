@@ -1,28 +1,29 @@
-"""Record (or check) the simulator-throughput baseline.
+"""Record (or check) the benchmark ledger, ``BENCH_simulator.json``.
 
-Default mode measures every source below and writes
-``BENCH_simulator.json`` at the repo root: median seconds and ops/sec
-per benchmark, the fast/reference speedup ratio, plus machine info and
-the git revision. Entries merge into the existing file by name, so an
-entry no source produces is kept. ``--only SOURCE ...`` measures just
-those sources; it leaves the file-level ``meta`` alone, and each entry
-it writes carries its own ``git_sha``, ``recorded_at`` and ``cores``.
-The committed file is the perf baseline CI regresses against.
+Every ledger entry is measured by exactly one source below, and by
+nothing else: recording and checking run the same function.
 
-``--compare RESULTS.json`` takes a ``pytest-benchmark --benchmark-json``
-export, compares each benchmark's median against the committed baseline,
-and exits non-zero if any median regressed by more than ``--tolerance``
-(default 30%) or if a committed ``test_*`` baseline entry has no result
-in the export. Only regressions and missing benchmarks fail;
-improvements just print.
+Default mode runs every source and writes the ledger at the repo root:
+median seconds and ops/sec per entry, plus whatever else the source
+reports, machine info and the git revision. Entries merge into the
+existing file by name. ``--only SOURCE ...`` runs just those sources; it
+leaves the file-level ``meta`` alone, and each entry it writes carries
+its own ``git_sha``, ``recorded_at`` and ``cores``.
+
+``--compare`` writes nothing: it runs the sources (all, or those named
+by ``--only``) and checks each entry's ``median_s`` against the ledger
+(``--out``, default the committed one). It exits non-zero if a median
+regressed by more than ``--tolerance`` (default 30%), if an entry has
+no ledger value, or, when every source ran, if a ledger entry has no
+source (so removing a source means removing its entry too).
+Improvements just print.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/record_bench.py          # write baseline
+    PYTHONPATH=src python benchmarks/record_bench.py          # write ledger
     PYTHONPATH=src python benchmarks/record_bench.py --only native_replay
-    PYTHONPATH=src python benchmarks/record_bench.py --only native_prepass
-    PYTHONPATH=src python benchmarks/record_bench.py --only native_functional
-    PYTHONPATH=src python benchmarks/record_bench.py --compare out.json
+    PYTHONPATH=src python benchmarks/record_bench.py --compare
+    PYTHONPATH=src python benchmarks/record_bench.py --compare --only simulator
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import statistics
 import subprocess
 import sys
 import time
+from array import array
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -48,7 +50,7 @@ from repro.asm import assemble  # noqa: E402
 from repro.sim.functional import FunctionalSimulator  # noqa: E402
 from repro.sim.ooo import MachineConfig, OoOSimulator  # noqa: E402
 
-# the same kernel bench_simulator_perf benchmarks (keep in sync)
+# a fixed medium-sized loop for the simulator-throughput entries
 _KERNEL = (
     ".text\nmain: li $t9, 3000\nloop:\n"
     + "\n".join("    addu $t0, $t0, $t1\n    xor $t1, $t0, $t9" for _ in range(4))
@@ -67,7 +69,8 @@ def _median_seconds(fn, repeats: int = 5) -> float:
 
 
 def _measure_simulator() -> dict:
-    """The three ``bench_simulator_perf`` kernels, fast and reference."""
+    """The functional interpreter (untraced and traced) and the OoO
+    timing model on :data:`_KERNEL`, fast path and reference loop."""
     program = assemble(_KERNEL)
     steps = FunctionalSimulator(program).run().steps
     trace = FunctionalSimulator(program).run(collect_trace=True).trace
@@ -108,7 +111,7 @@ def _measure_simulator() -> dict:
 
 def _unepic_rewrite():
     """``unepic``@2 rewritten by a selective 2-PFU selection, and its
-    trace: ``bench_simulator_perf``'s ``unepic_rewrite`` (keep in sync)."""
+    trace (~194k instructions): ``perfbench``'s ``replay_grid`` trace."""
     from repro import api
 
     program = api.compile(workload="unepic", scale=2)
@@ -121,28 +124,37 @@ def _unepic_rewrite():
 
 
 def _measure_native_replay() -> dict:
-    """``bench_simulator_perf.test_ooo_replay_native``: one replay of the
-    ``unepic``@2 selective 2-PFU trace on the default machine with the
-    pre-pass cached, through the native kernel, the generated Python
-    loop and the reference loop. Recording aborts unless all three
-    answer alike and the kernel is loaded."""
+    """One replay of the ``unepic``@2 selective 2-PFU trace on the
+    default machine with the pre-pass cached, through the native kernel,
+    the generated Python loop and the reference loop. The Python loop
+    replays its own :class:`DynTrace` over the same columns: a pre-pass
+    built in Python and cached on the kernel's trace would keep every
+    later replay of that trace in Python. Recording aborts unless the
+    kernel is loaded, its trace caches the kernel's pre-pass, and all
+    three paths answer alike."""
     from repro.sim.ooo import native, parallel
+    from repro.sim.ooo.pipeline import _PREPASS_ATTR
+    from repro.sim.trace import DynTrace
 
     if not native.available():
         raise SystemExit("native replay kernel unavailable (no C compiler?)")
     rewritten, defs, trace = _unepic_rewrite()
 
-    def replay(config=MachineConfig()):
-        return OoOSimulator(rewritten, config, ext_defs=defs).simulate(trace)
+    def replay(of=trace, config=MachineConfig()):
+        return OoOSimulator(rewritten, config, ext_defs=defs).simulate(of)
 
-    slow_cfg = dataclasses.replace(MachineConfig(), sim_fast_path=False)
-    with native.disabled():
-        loop = replay()
-        loop_s = _median_seconds(replay)
-    if not vars(replay()) == vars(loop) == vars(replay(slow_cfg)):
-        raise SystemExit("native, Python and reference replays diverged")
+    fast = replay()
+    if type(getattr(trace, _PREPASS_ATTR)[1].fcyc) is not array:
+        raise SystemExit("the replayed trace caches a Python pre-pass")
     native_s = _median_seconds(replay)
-    ref_s = _median_seconds(lambda: replay(slow_cfg), repeats=3)
+    python_trace = DynTrace(trace.indices, trace.addrs)
+    with native.disabled():
+        loop = replay(python_trace)
+        loop_s = _median_seconds(lambda: replay(python_trace))
+    slow_cfg = dataclasses.replace(MachineConfig(), sim_fast_path=False)
+    if not vars(fast) == vars(loop) == vars(replay(config=slow_cfg)):
+        raise SystemExit("native, Python and reference replays diverged")
+    ref_s = _median_seconds(lambda: replay(config=slow_cfg), repeats=3)
     return {
         "test_ooo_replay_native": {
             "median_s": round(native_s, 6),
@@ -158,11 +170,10 @@ def _measure_native_replay() -> dict:
 
 
 def _measure_native_prepass() -> dict:
-    """``bench_simulator_perf.test_prepass_native``: one fetch/cache
-    pre-pass of the ``unepic``@2 selective 2-PFU trace on the default
-    hierarchy, through the native kernel and through ``build_prepass``.
-    Recording aborts unless the kernel is loaded and the two pre-passes
-    are equal field for field."""
+    """One fetch/cache pre-pass of the ``unepic``@2 selective 2-PFU
+    trace on the default hierarchy, through the native kernel and
+    through ``build_prepass``. Recording aborts unless the kernel is
+    loaded and the two pre-passes are equal field for field."""
     from repro.sim.ooo import native, parallel
     from repro.sim.ooo.prepass import build_prepass
 
@@ -191,9 +202,9 @@ def _measure_native_prepass() -> dict:
 
 
 def _measure_native_functional() -> dict:
-    """``bench_simulator_perf.test_functional_native``: one traced
-    functional run (construction included) of the ``unepic``@2 selective
-    2-PFU rewrite, through the native kernel, the block-compiled
+    """One traced functional run (construction included) of the
+    ``unepic``@2 selective 2-PFU rewrite, as a sweep's validation runs
+    it, through the native kernel, the block-compiled
     interpreter and the reference loop. Recording aborts unless the
     kernel is loaded and the three runs are equal field for field."""
     from repro.fuzz import check_functional
@@ -235,14 +246,14 @@ def _measure_native_functional() -> dict:
 def _measure_explore_pruning() -> dict:
     """The sweep-pruning entry: points skipped and wall-clock saved.
 
-    Runs ``bench_explore_pruning``'s grid once pruned and once
-    exhaustive, each on a fresh storeless engine so neither leg rides
-    the other's warm artefacts. Single-shot timings — the quantity of
-    record is the pruned fraction; wall-clock is context. Recording
-    aborts unless the pruned frontier is byte-identical to the
-    exhaustive one.
+    Runs ``bench_explore_pruning``'s grid in three rounds, each on a
+    fresh artefact pipeline: an untimed pruned sweep warms it, then a
+    pruned sweep is timed (every artefact warm) and an exhaustive one
+    (which also simulates the points pruning skipped). The entry keeps
+    each leg's median. Recording aborts unless the pruned frontier is
+    byte-identical to the exhaustive one.
     """
-    from repro.engine import EngineConfig, ExperimentEngine
+    from repro.engine import ArtifactPipeline, EngineConfig, ExperimentEngine
     from repro.explore import SweepSpec, frontier_pairs, run_sweep
 
     spec = SweepSpec.from_json({
@@ -255,20 +266,25 @@ def _measure_explore_pruning() -> dict:
         },
     })
 
-    # warm the process-level caches (workload build, program compile) so
-    # neither timed leg pays the one-time costs
-    run_sweep(spec, ExperimentEngine(EngineConfig()))
+    def timed_sweep(pipeline, prune):
+        engine = ExperimentEngine(EngineConfig())
+        engine.pipeline = pipeline
+        t0 = time.perf_counter()
+        result = run_sweep(spec, engine, prune=prune)
+        return result, time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    pruned = run_sweep(spec, ExperimentEngine(EngineConfig()))
-    pruned_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    unpruned = run_sweep(spec, ExperimentEngine(EngineConfig()),
-                         prune=False)
-    unpruned_s = time.perf_counter() - t0
-
-    if frontier_pairs(pruned.results) != frontier_pairs(unpruned.results):
-        raise SystemExit("pruned sweep frontier diverged from exhaustive")
+    pruned_times, unpruned_times = [], []
+    for _ in range(3):
+        pipeline = ArtifactPipeline()
+        timed_sweep(pipeline, True)
+        pruned, pruned_t = timed_sweep(pipeline, True)
+        unpruned, unpruned_t = timed_sweep(pipeline, False)
+        if frontier_pairs(pruned.results) != frontier_pairs(unpruned.results):
+            raise SystemExit("pruned sweep frontier diverged from exhaustive")
+        pruned_times.append(pruned_t)
+        unpruned_times.append(unpruned_t)
+    pruned_s = statistics.median(pruned_times)
+    unpruned_s = statistics.median(unpruned_times)
 
     return {
         "explore_pruning": {
@@ -397,6 +413,68 @@ def _measure_wire_framing() -> dict:
     }
 
 
+def _measure_gateway_fleet() -> dict:
+    """The multi-node serving entry: pipelined simulate throughput
+    through one gateway fronting two real backend subprocesses, against
+    one backend.
+
+    ``loadtest.run_throughput`` cycles the requests over distinct
+    programs, so the gateway's consistent-hash ring spreads them across
+    the fleet. Each fleet serves one warm-up round (every backend's
+    trace memo) and then five timed rounds; the entry keeps the median.
+    The scaling factor is recorded, not asserted: on a 1-core host two
+    backends time-slice one core. Recording aborts if any round loses
+    or fails a request.
+    """
+    from repro.gateway import FleetController, Gateway, GatewayConfig
+    from repro.serve import loadtest
+    from repro.serve.client import ServeClient
+    from repro.sim.ooo import parallel
+
+    clients, requests, programs = 4, 48, 8
+
+    def fleet_median(n_backends: int) -> "loadtest.ThroughputPoint":
+        fleet = FleetController(workers=2)
+        try:
+            names = [fleet.spawn() for _ in range(n_backends)]
+            gateway = Gateway(GatewayConfig(backends=names))
+            gateway.start()
+            try:
+                with ServeClient(gateway.address, timeout=60.0) as client:
+                    client.wait_ready(timeout=30.0)
+                points = [
+                    loadtest.run_throughput(
+                        gateway.address, clients=clients, requests=n,
+                        distinct_programs=programs)
+                    for n in (programs,) + (requests,) * 5
+                ][1:]
+            finally:
+                gateway.stop()
+        finally:
+            fleet.drain_all()
+        for point in points:
+            if point.errors or point.ok != requests:
+                raise SystemExit(f"gateway fleet lost requests: "
+                                 f"{point.summary()}")
+        return sorted(points, key=lambda p: p.seconds)[len(points) // 2]
+
+    single, double = fleet_median(1), fleet_median(2)
+    return {
+        "gateway_fleet_throughput": {
+            "median_s": round(double.seconds, 6),
+            "ops_per_s": round(double.rps, 2),
+            "single_backend_median_s": round(single.seconds, 6),
+            "single_backend_ops_per_s": round(single.rps, 2),
+            "speedup_vs_single_backend": round(double.rps / single.rps, 2),
+            "backends": 2,
+            "clients": clients,
+            "requests": requests,
+            "distinct_programs": programs,
+            "cores": parallel.usable_cores(),
+        },
+    }
+
+
 #: source name -> function measuring its entries
 SOURCES = {
     "simulator": _measure_simulator,
@@ -406,6 +484,7 @@ SOURCES = {
     "explore_pruning": _measure_explore_pruning,
     "selector_runtime": _measure_selection,
     "wire_framing": _measure_wire_framing,
+    "gateway_fleet": _measure_gateway_fleet,
 }
 
 
@@ -458,68 +537,52 @@ def write_baseline(path: Path, only=None) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {path}")
     for name, row in measured.items():
-        if "speedup_vs_reference" in row:
-            detail = f"{row['speedup_vs_reference']}x vs reference"
-        elif "speedup_vs_python" in row:
-            detail = f"{row['speedup_vs_python']}x vs build_prepass"
-        elif "algorithms" in row:
-            detail = ", ".join(
-                f"{name} {sub['median_s'] * 1e3:.1f}ms"
-                for name, sub in row["algorithms"].items()
-            )
-        elif "bytes_reduction" in row:
-            detail = (f"{row['bytes_per_request']} B/request framed vs "
-                      f"{row['pickle_bytes_per_request']} B pickle "
-                      f"({row['bytes_reduction']}x fewer bytes, "
-                      f"{row['points']} points)")
-        else:
-            detail = (f"{row['pruned_points']}/{row['points']} points "
-                      f"pruned, {row['speedup_vs_unpruned']}x vs "
-                      f"exhaustive")
-        print(f"  {name}: {row['ops_per_s']:,} ops/s ({detail})")
+        speedups = "".join(
+            f", {value}x vs {key.removeprefix('speedup_vs_')}"
+            for key, value in row.items() if key.startswith("speedup_vs_")
+        )
+        print(f"  {name}: median {row['median_s'] * 1e3:.2f}ms, "
+              f"{row['ops_per_s']:,} ops/s{speedups}")
 
 
-def compare(results_path: Path, tolerance: float) -> int:
-    baseline = json.loads(BASELINE.read_text())["benchmarks"]
-    results = json.loads(results_path.read_text())
+def compare(path: Path, tolerance: float, only=None) -> int:
+    ledger = json.loads(path.read_text())["benchmarks"]
+    measured = measure(only)
     failures = 0
-    seen = set()
-    for bench in results["benchmarks"]:
-        name = bench["name"].split("[")[0].split("::")[-1]
-        seen.add(name)
-        if name not in baseline:
-            print(f"  {name}: no baseline, skipping")
+    for name, row in measured.items():
+        new = row["median_s"]
+        if name not in ledger:
+            print(f"  {name}: median {new * 1e3:.2f}ms, NOT IN {path.name}")
+            failures += 1
             continue
-        base = baseline[name]["median_s"]
-        new = bench["stats"]["median"]
+        base = ledger[name]["median_s"]
         change = new / base - 1.0
         status = "ok"
         if change > tolerance:
             status = f"REGRESSION (> {tolerance:.0%} allowed)"
             failures += 1
         print(
-            f"  {name}: median {new * 1e3:.2f}ms vs baseline "
+            f"  {name}: median {new * 1e3:.2f}ms vs ledger "
             f"{base * 1e3:.2f}ms ({change:+.1%}) {status}"
         )
-    # a pytest-benchmark baseline that produced no result has silently
-    # stopped being gated: fail until the entry or the benchmark returns
-    for name in sorted(n for n in baseline if n.startswith("test_")):
-        if name not in seen:
-            print(f"  {name}: MISSING from {results_path.name}")
+    # an entry no source measures has silently stopped being gated
+    if only is None:
+        for name in sorted(set(ledger) - set(measured)):
+            print(f"  {name}: NO SOURCE measures this entry")
             failures += 1
     if failures:
-        print(f"{failures} benchmark(s) missing or regressed beyond "
-              f"{tolerance:.0%}")
+        print(f"{failures} entry(ies) regressed beyond {tolerance:.0%}, "
+              f"unrecorded or without a source")
         return 1
-    print("all benchmarks within tolerance")
+    print("all entries within tolerance")
     return 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--compare", metavar="RESULTS.json", type=Path, default=None,
-        help="pytest-benchmark JSON export to check against the baseline",
+        "--compare", action="store_true",
+        help="check the measured medians against the ledger, write nothing",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.30,
@@ -527,15 +590,15 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out", type=Path, default=BASELINE,
-        help=f"baseline path to write (default {BASELINE})",
+        help=f"ledger to write or compare against (default {BASELINE})",
     )
     parser.add_argument(
         "--only", nargs="+", choices=sorted(SOURCES), default=None,
-        help="measure only these sources and merge their entries by name",
+        help="run only these sources (entries merge by name)",
     )
     args = parser.parse_args(argv)
-    if args.compare is not None:
-        return compare(args.compare, args.tolerance)
+    if args.compare:
+        return compare(args.out, args.tolerance, args.only)
     write_baseline(args.out, args.only)
     return 0
 

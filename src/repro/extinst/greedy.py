@@ -73,15 +73,3 @@ def greedy_select(
             configs=selection.n_configs, sites=len(sites),
         )
     return selection
-
-
-def greedy_statistics(profile: ProgramProfile, params=None) -> dict:
-    """§4.1 reporting helper: distinct extended instructions and lengths."""
-    selection = greedy_select(profile, params)
-    lengths = [len(site.nodes) for site in selection.sites]
-    return {
-        "distinct_configs": selection.n_configs,
-        "sites": len(selection.sites),
-        "min_length": min(lengths) if lengths else 0,
-        "max_length": max(lengths) if lengths else 0,
-    }

@@ -28,7 +28,6 @@ operand order as every other R3 instruction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 from repro.isa.opcodes import Fmt, OpClass, Opcode, OpcodeInfo, opcode_info
 from repro.isa.registers import reg_name
@@ -77,10 +76,6 @@ class Instruction:
     @property
     def is_branch(self) -> bool:
         return self.op_class is OpClass.BRANCH
-
-    @property
-    def is_jump(self) -> bool:
-        return self.op_class is OpClass.JUMP
 
     @property
     def is_control(self) -> bool:
@@ -181,8 +176,3 @@ class Instruction:
             return mapping.get(reg, reg)
 
         return replace(self, rd=m(self.rd), rs=m(self.rs), rt=m(self.rt))
-
-
-def render_listing(instrs: Iterable[Instruction]) -> str:
-    """Render instructions one per line (no labels; see Program.render)."""
-    return "\n".join(f"    {ins.render()}" for ins in instrs)

@@ -30,9 +30,6 @@ class Loop:
             out.extend(cfg.blocks[bid].indices())
         return out
 
-    def contains_block(self, bid: int) -> bool:
-        return bid in self.body
-
 
 def find_natural_loops(cfg: ControlFlowGraph) -> list[Loop]:
     """All natural loops, sorted by (depth, header) — innermost last.

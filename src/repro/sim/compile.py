@@ -198,7 +198,7 @@ def _compile_ext_key(key: tuple) -> Callable[..., int]:
                 operands["s" + slot] = _signed(expr)
         lines.append(f"v{j} = {_alu_expr(Opcode(op_value), operands, consts)}")
     lines.append(f"return v{len(key) - 2}")
-    source = "def E(i0, i1=0, i2=0, i3=0):\n    " + "\n    ".join(lines) + "\n"
+    source = "def E(i0, i1=0):\n    " + "\n    ".join(lines) + "\n"
     exec(compile(source, "<t1000-ext>", "exec"), consts)  # noqa: S102
     return consts["E"]
 

@@ -125,7 +125,9 @@ class FunctionalSimulator:
         program: the program to execute.
         ext_defs: mapping of ``conf`` id -> :class:`ExtInstDef`. Required
             only if the program contains ``ext`` instructions (an
-            unknown ``conf`` raises :class:`SimulationError` here). The
+            unknown ``conf``, or one whose definition reads an input
+            past the two register operands, raises
+            :class:`SimulationError` here). The
             reference loop calls :meth:`ExtInstDef.evaluate`; the native
             kernel evaluates the definition's node table; the block path
             calls its compiled evaluator
@@ -152,10 +154,19 @@ class FunctionalSimulator:
         self.program = program
         self.ext_defs = dict(ext_defs or {})
         for index, instr in enumerate(program.text):
-            if instr.op is Opcode.EXT and self.ext_defs.get(
-                    instr.conf if instr.conf is not None else -1) is None:
+            if instr.op is not Opcode.EXT:
+                continue
+            ext = self.ext_defs.get(
+                instr.conf if instr.conf is not None else -1)
+            if ext is None:
                 raise SimulationError(
                     f"instr {index}: ext references unknown conf {instr.conf}"
+                )
+            if any(ref[0] == "in" and ref[1] > 1
+                   for node in ext.nodes for ref in (node.a, node.b)):
+                raise SimulationError(
+                    f"instr {index}: ext conf {instr.conf} reads an input "
+                    f"past its two register operands"
                 )
         self.memory = memory if memory is not None else Memory()
         self.memory.load_image(DATA_BASE, program.data)
@@ -601,8 +612,8 @@ def _native_code(program: Program) -> tuple[array, tuple] | None:
 @lru_cache(maxsize=4096)
 def _native_nodes(key: tuple) -> tuple[int, ...] | None:
     """``_functional.c``'s node rows of a configuration, from its
-    :attr:`~repro.extinst.extdef.ExtInstDef.key`; None when a node reads
-    an input past the two :meth:`ExtInstDef.evaluate` is given."""
+    :attr:`~repro.extinst.extdef.ExtInstDef.key`; None when a node's
+    opcode has no native ALU code."""
     flat: list[int] = []
     for op_value, *refs in key[:-1]:
         alu = _NATIVE_ALU.get(Opcode(op_value))
@@ -612,8 +623,6 @@ def _native_nodes(key: tuple) -> tuple[int, ...] | None:
         for ref in refs:
             kind = ref[0]
             if kind == "in":
-                if ref[1] not in (0, 1):
-                    return None
                 flat += (_REF_IN, ref[1])
             elif kind == "node":
                 flat += (_REF_NODE, ref[1])

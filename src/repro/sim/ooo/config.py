@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.sim.cache.hierarchy import HierarchyConfig
@@ -93,15 +93,6 @@ class MachineConfig:
             raise ConfigurationError("bandwidth/levels parameters must be >= 1")
         if self.bpred_entries < 1 or self.bpred_entries & (self.bpred_entries - 1):
             raise ConfigurationError("bpred_entries must be a power of two")
-
-    def with_pfus(
-        self, n_pfus: int | None, reconfig_latency: int | None = None
-    ) -> "MachineConfig":
-        """Copy with a different PFU bank configuration."""
-        kwargs = {"n_pfus": n_pfus}
-        if reconfig_latency is not None:
-            kwargs["reconfig_latency"] = reconfig_latency
-        return replace(self, **kwargs)
 
 
 #: The baseline superscalar of Figure 2 bar 1: identical core, no PFUs.

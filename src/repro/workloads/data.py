@@ -60,8 +60,3 @@ def image_tile(width: int, height: int, seed: int = 0x1316) -> list[int]:
         rows.append(row)
         prev_row = row
     return [pixel for row in rows for pixel in row]
-
-
-def block8x8(seed: int = 7) -> list[int]:
-    """One smooth 8x8 block (row-major, 0..255)."""
-    return image_tile(8, 8, seed)

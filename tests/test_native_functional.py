@@ -374,15 +374,22 @@ def test_random_ext_dags(ext, a, b):
 
 
 def test_kernel_refuses_a_third_input(kernel_runs):
-    """A node reading input 2 has no operand in ``evaluate``'s two-input
-    call: the kernel refuses the run before it starts, and the block
-    path answers as it does without the kernel."""
+    """A node reading input 2 has no operand in an ``ext`` instruction's
+    two register reads: construction raises, on every path alike, and
+    no kernel run starts."""
     wide = ExtInstDef(nodes=(ExtOp(Opcode.ADDU, ("in", 0), ("in", 2)),),
                       n_inputs=3)
     prog = _ext_program({9: wide}, values=(5,))
-    got = outcomes(prog, {9: wide})
-    assert got["native"] == got["blocks"]
-    assert not any(kernel_runs)
+    got = {}
+    for path, compile_blocks in (("native", None), ("blocks", True),
+                                 ("reference", False)):
+        with pytest.raises(SimulationError) as raised:
+            FunctionalSimulator(prog, ext_defs={9: wide},
+                                compile_blocks=compile_blocks)
+        got[path] = str(raised.value)
+    assert got["native"] == got["blocks"] == got["reference"] == (
+        "instr 6: ext conf 9 reads an input past its two register operands")
+    assert not kernel_runs
 
 
 def test_unknown_conf_raises_at_construction():
