@@ -1,7 +1,9 @@
 """Record (or check) the benchmark ledger, ``BENCH_simulator.json``.
 
 Every ledger entry is measured by exactly one source below, and by
-nothing else: recording and checking run the same function.
+nothing else: recording and checking run the same function. Each source
+runs in its own fresh interpreter, so no reading depends on what ran
+before it (a warm heap, loaded caches).
 
 Default mode runs every source and writes the ledger at the repo root:
 median seconds and ops/sec per entry, plus whatever else the source
@@ -36,8 +38,8 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
-from array import array
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -48,7 +50,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.asm import assemble  # noqa: E402
 from repro.sim.functional import FunctionalSimulator  # noqa: E402
-from repro.sim.ooo import MachineConfig, OoOSimulator  # noqa: E402
+from repro.sim.ooo import MachineConfig, OoOSimulator, native  # noqa: E402
 
 # a fixed medium-sized loop for the simulator-throughput entries
 _KERNEL = (
@@ -59,13 +61,22 @@ _KERNEL = (
 
 
 def _median_seconds(fn, repeats: int = 5) -> float:
-    fn()  # warm caches (compiled blocks, dense-pass artefacts)
+    fn()  # warm caches (code tables, the trace's pre-pass)
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - t0)
     return statistics.median(samples)
+
+
+def _reference(fn):
+    """``fn`` run with the native kernels disabled: on the reference
+    loops."""
+    def run():
+        with native.disabled():
+            return fn()
+    return run
 
 
 def _measure_simulator() -> dict:
@@ -76,17 +87,16 @@ def _measure_simulator() -> dict:
     trace = FunctionalSimulator(program).run(collect_trace=True).trace
     slow_cfg = dataclasses.replace(MachineConfig(), sim_fast_path=False)
 
+    def run(**kwargs):
+        return FunctionalSimulator(program).run(**kwargs)
+
     cases = {
         "test_functional_simulator_throughput": (
-            lambda: FunctionalSimulator(program).run(),
-            lambda: FunctionalSimulator(program, compile_blocks=False).run(),
-            steps,
+            run, _reference(run), steps,
         ),
         "test_functional_simulator_with_trace": (
-            lambda: FunctionalSimulator(program).run(collect_trace=True),
-            lambda: FunctionalSimulator(
-                program, compile_blocks=False
-            ).run(collect_trace=True),
+            lambda: run(collect_trace=True),
+            _reference(lambda: run(collect_trace=True)),
             steps,
         ),
         "test_ooo_simulator_throughput": (
@@ -125,43 +135,28 @@ def _unepic_rewrite():
 
 def _measure_native_replay() -> dict:
     """One replay of the ``unepic``@2 selective 2-PFU trace on the
-    default machine with the pre-pass cached, through the native kernel,
-    the generated Python loop and the reference loop. The Python loop
-    replays its own :class:`DynTrace` over the same columns: a pre-pass
-    built in Python and cached on the kernel's trace would keep every
-    later replay of that trace in Python. Recording aborts unless the
-    kernel is loaded, its trace caches the kernel's pre-pass, and all
-    three paths answer alike."""
-    from repro.sim.ooo import native, parallel
-    from repro.sim.ooo.pipeline import _PREPASS_ATTR
-    from repro.sim.trace import DynTrace
+    default machine with the pre-pass cached, through the native kernel
+    and the reference loop. Recording aborts unless the kernel is
+    loaded and both paths answer alike."""
+    from repro.sim.ooo import parallel
 
     if not native.available():
         raise SystemExit("native replay kernel unavailable (no C compiler?)")
     rewritten, defs, trace = _unepic_rewrite()
 
-    def replay(of=trace, config=MachineConfig()):
-        return OoOSimulator(rewritten, config, ext_defs=defs).simulate(of)
+    def replay(config=MachineConfig()):
+        return OoOSimulator(rewritten, config, ext_defs=defs).simulate(trace)
 
-    fast = replay()
-    if type(getattr(trace, _PREPASS_ATTR)[1].fcyc) is not array:
-        raise SystemExit("the replayed trace caches a Python pre-pass")
-    native_s = _median_seconds(replay)
-    python_trace = DynTrace(trace.indices, trace.addrs)
-    with native.disabled():
-        loop = replay(python_trace)
-        loop_s = _median_seconds(lambda: replay(python_trace))
     slow_cfg = dataclasses.replace(MachineConfig(), sim_fast_path=False)
-    if not vars(fast) == vars(loop) == vars(replay(config=slow_cfg)):
-        raise SystemExit("native, Python and reference replays diverged")
+    if vars(replay()) != vars(replay(config=slow_cfg)):
+        raise SystemExit("native and reference replays diverged")
+    native_s = _median_seconds(replay)
     ref_s = _median_seconds(lambda: replay(config=slow_cfg), repeats=3)
     return {
         "test_ooo_replay_native": {
             "median_s": round(native_s, 6),
             "ops_per_s": round(len(trace) / native_s),
-            "python_fast_median_s": round(loop_s, 6),
             "reference_median_s": round(ref_s, 6),
-            "speedup_vs_python_fast": round(loop_s / native_s, 2),
             "speedup_vs_reference": round(ref_s / native_s, 2),
             "instructions": len(trace),
             "cores": parallel.usable_cores(),
@@ -174,7 +169,7 @@ def _measure_native_prepass() -> dict:
     trace on the default hierarchy, through the native kernel and
     through ``build_prepass``. Recording aborts unless the kernel is
     loaded and the two pre-passes are equal field for field."""
-    from repro.sim.ooo import native, parallel
+    from repro.sim.ooo import parallel
     from repro.sim.ooo.prepass import build_prepass
 
     if not native.available():
@@ -204,11 +199,11 @@ def _measure_native_prepass() -> dict:
 def _measure_native_functional() -> dict:
     """One traced functional run (construction included) of the
     ``unepic``@2 selective 2-PFU rewrite, as a sweep's validation runs
-    it, through the native kernel, the block-compiled
-    interpreter and the reference loop. Recording aborts unless the
-    kernel is loaded and the three runs are equal field for field."""
+    it, through the native kernel and the reference loop. Recording
+    aborts unless the kernel is loaded and the two runs are equal field
+    for field."""
     from repro.fuzz import check_functional
-    from repro.sim.ooo import native, parallel
+    from repro.sim.ooo import parallel
 
     if not native.available():
         raise SystemExit("native functional kernel unavailable "
@@ -217,25 +212,20 @@ def _measure_native_functional() -> dict:
     try:
         check_functional(rewritten, defs)
     except AssertionError as exc:
-        raise SystemExit(f"native, block-compiled and reference functional "
-                         f"runs diverged: {exc}") from None
+        raise SystemExit(f"native and reference functional runs "
+                         f"diverged: {exc}") from None
 
-    def run(compile_blocks=None):
-        return FunctionalSimulator(
-            rewritten, ext_defs=defs, compile_blocks=compile_blocks
-        ).run(collect_trace=True)
+    def run():
+        return FunctionalSimulator(rewritten, ext_defs=defs).run(
+            collect_trace=True)
 
     native_s = _median_seconds(run, repeats=15)
-    with native.disabled():
-        blocks_s = _median_seconds(run)
-    ref_s = _median_seconds(lambda: run(False), repeats=3)
+    ref_s = _median_seconds(_reference(run), repeats=3)
     return {
         "test_functional_native": {
             "median_s": round(native_s, 6),
             "ops_per_s": round(len(trace) / native_s),
-            "blocks_median_s": round(blocks_s, 6),
             "reference_median_s": round(ref_s, 6),
-            "speedup_vs_blocks": round(blocks_s / native_s, 2),
             "speedup_vs_reference": round(ref_s / native_s, 2),
             "instructions": len(trace),
             "cores": parallel.usable_cores(),
@@ -488,10 +478,31 @@ SOURCES = {
 }
 
 
+def _measure_in_child(name: str) -> dict:
+    """The entries of source ``name``, measured in a fresh interpreter
+    that writes them to a temporary file. A source that aborts ends
+    recording with its exit status."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "entries.json"
+        code = (
+            "import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import record_bench\n"
+            "entries = record_bench.SOURCES[sys.argv[2]]()\n"
+            "open(sys.argv[3], 'w').write(json.dumps(entries))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code,
+                               str(Path(__file__).parent), name, str(out)])
+        if done.returncode:
+            raise SystemExit(f"source {name} failed "
+                             f"(exit status {done.returncode})")
+        return json.loads(out.read_text())
+
+
 def measure(sources=None) -> dict:
     benchmarks = {}
     for name in sources or SOURCES:
-        benchmarks.update(SOURCES[name]())
+        benchmarks.update(_measure_in_child(name))
     return benchmarks
 
 

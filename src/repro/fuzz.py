@@ -8,10 +8,10 @@ the folding machinery for as long as desired.
 
 The campaign also differentially fuzzes the simulators themselves: for
 every generated program (and every rewrite of it), the native
-functional kernel and the block-compiled functional interpreter must
-produce an :class:`ExecutionResult` identical to the reference loop's
-(:func:`check_functional`), and the dense-window timing replay an
-identical :class:`SimStats` (see :func:`check_simulators`).  Every
+functional kernel must produce an :class:`ExecutionResult` identical to
+the reference loop's (:func:`check_functional`), and the native
+pre-pass and replay kernels an identical :class:`SimStats` (see
+:func:`check_simulators`).  Every
 generated trace is additionally round-tripped through the binary wire
 framing (:func:`check_wire_framing`) to pin the serve path's codec.
 
@@ -152,10 +152,9 @@ def tiny_machine():
 
 def narrow_machine():
     """The default machine with 2 integer ALUs, 1 memory port and a
-    48-entry RUU: the fast replay loop keeps its ALU and memory rings
-    (their limits are below the issue width, see
-    :func:`repro.sim.ooo.pipeline._loop_shape`) and takes RUU slots
-    modulo a non-power of two."""
+    48-entry RUU: the ALU and memory-port limits are below the issue
+    width, so they bind, and RUU slots are taken modulo a non-power of
+    two."""
     from repro.sim.ooo import MachineConfig
 
     return MachineConfig(n_ialu=2, n_memports=1, ruu_size=48)
@@ -163,42 +162,37 @@ def narrow_machine():
 
 def check_functional(program: Program, ext_defs=None):
     """Run ``program`` with trace and profile through the native kernel
-    (the default fast path), the block-compiled interpreter (the fast
-    path with the kernel disabled) and the reference loop, and assert
-    that all three agree: steps, registers, memory (stack included),
-    trace, execution counts and bitwidth profile. Without a loaded
-    kernel the first two runs take the same path. Returns the native
+    (the default path) and the reference loop (the kernel disabled),
+    and assert that both agree: steps, registers, memory (stack
+    included), trace, execution counts and bitwidth profile. Without a
+    loaded kernel both runs take the reference loop. Returns the native
     run."""
     from repro.extinst.validate import memory_snapshot
     from repro.sim.functional import FunctionalSimulator
     from repro.sim.ooo import native
 
-    def run(compile_blocks):
-        return FunctionalSimulator(
-            program, ext_defs=ext_defs, compile_blocks=compile_blocks
-        ).run(collect_trace=True, profile=True)
+    def run():
+        return FunctionalSimulator(program, ext_defs=ext_defs).run(
+            collect_trace=True, profile=True)
 
-    fast = run(True)
+    fast = run()
     with native.disabled():
-        blocks = run(True)
-    ref = run(False)
-    for label, other in (("block-compiled", blocks), ("native", fast)):
-        assert other.steps == ref.steps, f"{label} step counts diverged"
-        assert other.regs == ref.regs, f"{label} register files diverged"
-        assert memory_snapshot(other.memory, include_stack=True) == \
-            memory_snapshot(ref.memory, include_stack=True), \
-            f"{label} memory diverged"
-        assert other.trace.indices == ref.trace.indices, \
-            f"{label} trace indices diverged"
-        assert other.trace.addrs == ref.trace.addrs, \
-            f"{label} trace addresses diverged"
-        assert other.exec_counts == ref.exec_counts, \
-            f"{label} execution counts diverged"
-        assert other.bitwidths.max_operand_width == \
-            ref.bitwidths.max_operand_width, \
-            f"{label} operand widths diverged"
-        assert other.bitwidths.max_result_width == \
-            ref.bitwidths.max_result_width, f"{label} result widths diverged"
+        ref = run()
+    assert fast.steps == ref.steps, "native step counts diverged"
+    assert fast.regs == ref.regs, "native register files diverged"
+    assert memory_snapshot(fast.memory, include_stack=True) == \
+        memory_snapshot(ref.memory, include_stack=True), \
+        "native memory diverged"
+    assert fast.trace.indices == ref.trace.indices, \
+        "native trace indices diverged"
+    assert fast.trace.addrs == ref.trace.addrs, \
+        "native trace addresses diverged"
+    assert fast.exec_counts == ref.exec_counts, \
+        "native execution counts diverged"
+    assert fast.bitwidths.max_operand_width == \
+        ref.bitwidths.max_operand_width, "native operand widths diverged"
+    assert fast.bitwidths.max_result_width == \
+        ref.bitwidths.max_result_width, "native result widths diverged"
     return fast
 
 
@@ -206,9 +200,8 @@ def check_simulators(program: Program, ext_defs=None) -> None:
     """Differentially check the fast simulation paths on ``program``.
 
     Runs the functional paths against each other
-    (:func:`check_functional`), then replays the trace through the timing
-    model's fast path — the native kernels where they are available,
-    and the Python pre-pass and generated Python loop — and the
+    (:func:`check_functional`), then replays the trace through the
+    timing model's native kernels, where they are available, and the
     reference loop (``SimStats`` must match field-for-field), on the
     default machine, on :func:`tiny_machine` and on
     :func:`narrow_machine`. On each machine the native pre-pass must
@@ -246,18 +239,12 @@ def check_simulators(program: Program, ext_defs=None) -> None:
         stats_fast = OoOSimulator(
             program, config=config, ext_defs=ext_defs
         ).simulate(fast.trace)
-        with native.disabled():
-            stats_loop = OoOSimulator(
-                program, config=config, ext_defs=ext_defs
-            ).simulate(fast.trace)
         slow_cfg = dataclasses.replace(config, sim_fast_path=False)
         stats_slow = OoOSimulator(
             program, config=slow_cfg, ext_defs=ext_defs
         ).simulate(fast.trace)
         assert vars(stats_fast) == vars(stats_slow), \
             f"SimStats diverged ({label} machine)"
-        assert vars(stats_loop) == vars(stats_slow), \
-            f"Python fast loop SimStats diverged ({label} machine)"
         assert vars(stats_grid) == vars(stats_fast), \
             f"forked simulate_many diverged ({label} machine)"
 

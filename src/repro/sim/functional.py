@@ -4,23 +4,21 @@ Executes a :class:`Program` exactly — this is the reference semantics the
 timing model trusts, and the oracle the extended-instruction rewriter is
 validated against (rewritten programs must produce identical final state).
 
-Three paths run a program, each the oracle of the one before it:
+Two paths run a program, the second the oracle of the first:
 
 1. the native kernel (``sim/ooo/_functional.c``, loaded by
    :mod:`repro.sim.ooo.native`), the default where a C compiler exists.
    Python builds a flat code table per program (cached on the instance)
    and a node table of the ``ext`` configurations, and the kernel
    executes the whole run in place on the :class:`Memory` pages;
-2. the block-compiled interpreter (:mod:`repro.sim.compile`), when the
-   kernel is unavailable (no compiler, ``native.disabled()``) or
-   refuses the program;
-3. the reference loop (:meth:`FunctionalSimulator._run`), which
+2. the reference loop (:meth:`FunctionalSimulator._run`), which
    pre-decodes instructions into flat tuples dispatched on a small
-   integer kind, forced by ``compile_blocks=False`` or
-   ``REPRO_SIM_REFERENCE=1``. Its decode is built on first use.
+   integer kind. It runs when the kernel is unavailable (no compiler,
+   ``native.disabled()``) or refuses the program, and whenever
+   ``REPRO_SIM_REFERENCE=1`` is set. Its decode is built on first use.
 
-All three give the same registers, memory, trace, step count, profile
-and exceptions (docs/simulator.md, "Native functional kernel").
+Both give the same registers, memory, trace, step count, profile and
+exceptions (docs/simulator.md, "Native functional kernel").
 """
 
 from __future__ import annotations
@@ -129,9 +127,7 @@ class FunctionalSimulator:
             past the two register operands, raises
             :class:`SimulationError` here). The
             reference loop calls :meth:`ExtInstDef.evaluate`; the native
-            kernel evaluates the definition's node table; the block path
-            calls its compiled evaluator
-            (:func:`repro.sim.compile.compile_ext`).
+            kernel evaluates the definition's node table.
         memory: optionally a preconstructed memory (data image is loaded
             into it); a fresh one is created by default.
     """
@@ -141,15 +137,7 @@ class FunctionalSimulator:
         program: Program,
         ext_defs: Mapping[int, "ExtInstDef"] | None = None,
         memory: Memory | None = None,
-        compile_blocks: bool | None = None,
     ) -> None:
-        """``compile_blocks`` selects the execution path: ``True`` forces
-        the fast path, ``False`` forces the reference loop, and ``None``
-        (default) uses the fast path unless ``REPRO_SIM_REFERENCE=1`` is
-        set. The fast path is the native kernel where it is available
-        and takes the program, else the block-compiled interpreter
-        (:mod:`repro.sim.compile`), whose profiling runs use a
-        profiling variant of the compiled blocks."""
         program.validate()
         self.program = program
         self.ext_defs = dict(ext_defs or {})
@@ -170,7 +158,6 @@ class FunctionalSimulator:
                 )
         self.memory = memory if memory is not None else Memory()
         self.memory.load_image(DATA_BASE, program.data)
-        self.compile_blocks = compile_blocks
 
     @cached_property
     def _decoded(self) -> list[tuple]:
@@ -247,13 +234,6 @@ class FunctionalSimulator:
         )
         return result
 
-    def _use_fast_path(self) -> bool:
-        """The fast path (native kernel, else compiled blocks) runs
-        everything except explicitly forced reference runs."""
-        if self.compile_blocks is not None:
-            return self.compile_blocks
-        return os.environ.get("REPRO_SIM_REFERENCE", "") not in ("1", "true")
-
     def _execute(
         self,
         max_steps: int,
@@ -261,17 +241,12 @@ class FunctionalSimulator:
         profile: bool,
         entry_label: str,
     ) -> ExecutionResult:
-        if self._use_fast_path():
+        if os.environ.get("REPRO_SIM_REFERENCE", "") not in ("1", "true"):
             result = self._run_native(
                 max_steps, collect_trace, profile, entry_label
             )
             if result is not None:
                 return result
-            from repro.sim.compile import run_compiled
-
-            return run_compiled(
-                self, max_steps, collect_trace, entry_label, profile
-            )
         return self._run(max_steps, collect_trace, profile, entry_label)
 
     def _run_native(
@@ -391,12 +366,9 @@ class FunctionalSimulator:
     ) -> int:
         """Execute exactly one instruction with reference semantics.
 
-        The reference loop is this, once per step; the block-compiled
-        runner calls it as its escape hatch (uncompiled blocks, dynamic
-        jumps into the middle of a block, the last instructions of a
-        near-exhausted step budget). Returns the next static index, or
-        -1 if this instruction was ``halt``. Profiling runs pass
-        ``counts``/``widths``.
+        The reference loop is this, once per step. Returns the next
+        static index, or -1 if this instruction was ``halt``. Profiling
+        runs pass ``counts``/``widths``.
         """
         if not 0 <= pc < len(self._decoded):
             raise SimulationError(f"PC out of text segment: index {pc}")
@@ -588,7 +560,7 @@ def _native_row(program: Program, instr: Instruction, confs: dict) -> tuple:
 def _native_code(program: Program) -> tuple[array, tuple] | None:
     """The program's ``_functional.c`` code table and the ``conf`` ids
     its ext rows index, in order; None when an instruction has no row.
-    Cached on the instance like the compiled blocks."""
+    Cached on the instance, keyed by the text list and its length."""
     cached = program.__dict__.get(_NATIVE_CACHE_ATTR)
     if cached is not None and cached[0] == id(program.text) \
             and cached[1] == len(program.text):

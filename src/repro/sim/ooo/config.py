@@ -51,8 +51,8 @@ class MachineConfig:
 
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
 
-    #: Execution strategy, not semantics: allow the dense-window fast
-    #: replay loop (bit-identical to the reference loop; see
+    #: Execution strategy, not semantics: allow the native pre-pass and
+    #: replay kernels (bit-identical to the reference loop; see
     #: docs/simulator.md "Fast path"). ``False`` forces the reference
     #: loop, as does ``REPRO_SIM_REFERENCE=1`` in the environment.
     sim_fast_path: bool = True

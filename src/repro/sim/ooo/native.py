@@ -2,19 +2,21 @@
 ``_functional.c``, built into one library once per host and called
 through :mod:`ctypes`.
 
-``t1000_replay`` computes what the generated Python fast loop computes
-(:func:`repro.sim.ooo.pipeline._fast_loop_source`) for any machine, at
-about 20 ns per instruction instead of about 900. ``t1000_prepass``
-computes what :func:`repro.sim.ooo.prepass.build_prepass` computes, at
-a few ns per instruction instead of about 250. ``t1000_functional``
-runs a program as :class:`~repro.sim.functional.FunctionalSimulator`'s
-reference loop does, at about 10–20 ns per instruction instead of
-about 1,200–1,900 (500–700 block-compiled). The OoO simulator uses the
-pre-pass kernel for every pre-pass and the replay kernel for every
-fast-path replay that records no timeline; the functional simulator
-uses the functional kernel for every fast-path run it accepts (see
-docs/simulator.md, "Native pre-pass", "Native replay kernel" and
-"Native functional kernel").
+``t1000_replay`` computes what the OoO simulator's reference loop
+(:meth:`repro.sim.ooo.pipeline.OoOSimulator._simulate_reference`)
+computes for a perfect-prediction machine, from the pre-pass's fetch
+cycles and load latencies, at about 20 ns per instruction.
+``t1000_prepass`` computes what
+:func:`repro.sim.ooo.prepass.build_prepass` computes, at a few ns per
+instruction instead of about 250. ``t1000_functional`` runs a program
+as :class:`~repro.sim.functional.FunctionalSimulator`'s reference loop
+does, at about 10–20 ns per instruction instead of about 1,200–1,900.
+The OoO simulator runs every replay that records no timeline through
+the pre-pass and replay kernels, and the functional simulator every
+run through the functional kernel, unless a kernel refuses the inputs;
+everything else runs on the reference loops (see docs/simulator.md,
+"Native pre-pass", "Native replay kernel" and "Native functional
+kernel").
 
 The shared library is built by the system C compiler on first use and
 cached under ``$T1000_CACHE_DIR/native/`` if that is set, else under the
@@ -28,7 +30,7 @@ user's own, or that another user could write to, is never built into or
 loaded from (:func:`_private`): the temp directory's name is
 predictable, so anyone could create it first. With no compiler, or a
 build or load that fails, :func:`kernel` returns None and functional
-runs, the pre-pass and replay stay in Python.
+runs and replays take the reference loops.
 
 ``ctypes``, ``hashlib``, ``subprocess`` and ``sysconfig`` are imported
 only by the functions that build and load the library, so importing the
@@ -61,8 +63,8 @@ SOURCES = tuple(Path(__file__).with_name(name)
 CFLAGS = ("-O2", "-shared", "-fPIC")
 
 #: Run functional runs, the pre-pass and replays through the kernels
-#: when they are available. Setting this to False keeps all three in
-#: Python.
+#: when they are available. Setting this to False sends functional runs
+#: and replays to the reference loops.
 ENABLED = True
 
 #: :func:`replay`'s answer when the issue cycle drifted ``horizon`` or
@@ -249,7 +251,7 @@ def available() -> bool:
 
 @contextmanager
 def disabled() -> Iterator[None]:
-    """Keep functional runs, the pre-pass and replays in Python inside
+    """Send functional runs and replays to the reference loops inside
     the block (not thread-safe: it flips :data:`ENABLED`)."""
     global ENABLED
     before, ENABLED = ENABLED, False
@@ -285,8 +287,8 @@ def prepass(events, indices, addrs, hierarchy: HierarchyConfig,
             fetch_width: int) -> Prepass | None:
     """:func:`~repro.sim.ooo.prepass.build_prepass` through the kernel,
     with ``fcyc`` an ``array("q")``; None when the kernel is unavailable
-    or an input fails its checks (the caller then runs
-    ``build_prepass``, which answers or raises as it always did).
+    or an input fails its checks (the replay then runs on the reference
+    loop).
 
     The kernel refuses exactly the columns :func:`replay` refuses, and
     also a level that is no power-of-two geometry, larger than it
@@ -326,14 +328,14 @@ def replay(
     params: array, conf_lat: array, observed: bool,
 ) -> Replay | str | None:
     """Replay one trace; None when the kernel is unavailable or an input
-    fails its checks (the caller then runs the Python loop, which
-    raises what it always raised), :data:`OVERFLOW` when the rings were
-    too small.
+    fails its checks (the caller then runs the reference loop, which
+    answers or raises as it always did), :data:`OVERFLOW` when the rings
+    were too small.
 
     ``indices``/``addrs`` are the trace columns (read in place),
     ``fcyc``/``mlat`` the pre-pass's fetch cycles (``"q"``) and load
-    latencies (``"i"``) as :func:`prepass` writes them (a pre-pass built
-    in Python is refused), ``tab`` six ``"i"`` values per static
+    latencies (``"i"``) as :func:`prepass` writes them (a list column
+    is refused), ``tab`` six ``"i"`` values per static
     instruction, ``params`` the machine (``"q"``, ``_replay.c`` layout)
     and ``conf_lat`` each dense configuration's load latency. With
     ``observed`` the reconfigurations are recorded too.
@@ -414,7 +416,7 @@ def functional(code: array, nodes: array, spans: array, memory, regs,
                profile: bool) -> FunctionalRun | None:
     """Run a program through ``t1000_functional``; None when the kernel
     is unavailable or refuses the inputs (then nothing has run, and the
-    caller takes its Python path).
+    caller takes the reference loop).
 
     ``code`` is the program's instruction table (:data:`CODE_WIDTH`
     ``"q"`` values per static instruction), ``nodes``/``spans`` the ext

@@ -4,8 +4,8 @@
 machine configurations, and every configuration is independent. Here
 that grid is cut into contiguous shards (:func:`split_grid`) and each
 extra shard runs in a forked child (:func:`run_forked`). Children
-inherit the trace, the program and the cached replay table
-copy-on-write, so no input is pickled; each sends back its pickled
+inherit the trace, the program, the loaded kernel and the cached
+pre-pass and kernel table copy-on-write, so no input is pickled; each sends back its pickled
 ``list[SimStats]`` over a pipe. Forking is used only where it is safe
 and pays (:func:`worker_count`).
 """
@@ -26,7 +26,9 @@ class GridCosts(NamedTuple):
     and ``prepass`` per pre-pass built, and ``floor``, the work (trace
     length × :func:`grid_cost`) below which an automatic (``jobs=None``)
     call stays serial. The three are in one unit, chosen per path so
-    that both weights are whole numbers."""
+    that both weights are whole numbers. A grid replays either on the
+    native kernels (:data:`NATIVE`) or on the reference loop
+    (:data:`REFERENCE`)."""
 
     replay: int
     prepass: int
@@ -56,21 +58,15 @@ class GridCosts(NamedTuple):
 #: about twice that, 1.2M, where a split saves about as much as it pays.
 NATIVE = GridCosts(replay=2, prepass=1, floor=2_400_000)
 
-#: The generated Python loop (no compiler, or a ``record_window``), in
-#: half replays: on the same trace and VM a Python replay takes
-#: ~187 ms and a pre-pass 87-102 ms, about half a replay. The floor is
-#: 50,000 instruction replays: with 2 configurations, medians of 41
-#: alternating serial/split runs, the split broke even at 12k
-#: instructions per configuration (24k replays: 21.4 ms serial,
-#: 18.8 ms split) and, re-measured on fresh prefixes once the loop was
-#: specialised to the machine, at 10k (20k replays: 35.0 ms, 34.7 ms);
-#: the floor sits at about twice that.
-PYTHON = GridCosts(replay=2, prepass=1, floor=100_000)
-
-#: The reference loop (``sim_fast_path=False``, a bimodal predictor,
-#: ``REPRO_SIM_REFERENCE=1``), in replays: it builds no pre-pass, and a
-#: replay costs about 3x a Python one, so the Python loop's floor is
-#: conservative here.
+#: The reference loop (no compiler, a ``record_window``,
+#: ``sim_fast_path=False``, a bimodal predictor, ``REPRO_SIM_REFERENCE=1``,
+#: a kernel refusal), in replays: it builds no pre-pass. The floor is
+#: 50,000 instruction replays. It was measured for a Python replay loop
+#: about 3x faster than the reference loop (with 2 configurations,
+#: medians of 41 alternating serial/split runs, the split broke even at
+#: 10-12k instructions per configuration, and the floor sat at about
+#: twice that), so it is conservative here: a split's fixed cost is the
+#: same and a reference replay costs more.
 REFERENCE = GridCosts(replay=1, prepass=0, floor=50_000)
 
 

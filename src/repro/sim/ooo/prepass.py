@@ -1,4 +1,4 @@
-"""Event-driven cache/TLB/fetch pre-pass for the fast replay loop.
+"""Event-driven cache/TLB/fetch pre-pass: the oracle of ``_prepass.c``.
 
 With perfect branch prediction the memory hierarchy's access sequence
 and the fetch schedule are pure functions of the trace: fetch has no
@@ -6,8 +6,11 @@ feedback from the out-of-order core, so instruction-line transitions
 and load/store addresses reach the caches in program order whatever the
 core parameters are. One walk over the trace therefore yields, for
 every dynamic instruction, its fetch cycle and (for loads) its memory
-latency, plus the final per-level cache statistics. The fast replay
-loop consumes these instead of modelling fetch and the caches itself.
+latency, plus the final per-level cache statistics. The native replay
+kernel consumes these instead of modelling fetch and the caches itself.
+The native pre-pass kernel builds them for every replay;
+:func:`build_prepass` is its Python oracle, run by the tests and
+:mod:`repro.fuzz`, not by the simulator.
 
 The walk touches the hierarchy only at events — a fetch-line change, a
 load or a store — and serves most of them inline through a per-set

@@ -45,9 +45,8 @@ class DynTrace:
         self.addrs.append(addr)
 
     def extend(self, indices: Iterable[int], addrs: Iterable[int]) -> None:
-        """Bulk-append parallel index/address runs (what the block-compiled
-        interpreter emits: one call per basic block instead of one per
-        dynamic instruction)."""
+        """Bulk-append parallel index/address runs (one call per run
+        instead of one per dynamic instruction)."""
         before = len(self.indices)
         self.indices.extend(indices)
         try:

@@ -92,20 +92,21 @@ class TestSimulatorDifferential:
     def test_divergence_raises(self, monkeypatch):
         """A simulator-path divergence must surface as AssertionError
         (which the campaign records as a failure)."""
-        import repro.sim.compile as compile_mod
+        from repro.sim.functional import FunctionalSimulator
+        from repro.sim.ooo import native
 
         program = assemble(random_asm_program(random.Random(2)))
-        original = compile_mod.run_compiled
+        original = FunctionalSimulator._run
 
-        def corrupted(sim, max_steps, collect_trace, entry_label,
-                      profile=False):
-            result = original(
-                sim, max_steps, collect_trace, entry_label, profile
-            )
-            result.regs[8] ^= 1
+        def corrupted(sim, *args):
+            # only the run with the kernel disabled, so the two runs
+            # differ with or without a loaded kernel
+            result = original(sim, *args)
+            if not native.ENABLED:
+                result.regs[8] ^= 1
             return result
 
-        monkeypatch.setattr(compile_mod, "run_compiled", corrupted)
+        monkeypatch.setattr(FunctionalSimulator, "_run", corrupted)
         with pytest.raises(AssertionError):
             check_simulators(program)
 

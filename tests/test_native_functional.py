@@ -1,9 +1,8 @@
 """The native functional kernel (``sim/ooo/_functional.c``).
 
-The kernel is the functional simulator's first fast path; the
-block-compiled interpreter is its fallback and the reference loop the
-oracle of both. Every case here runs a program through all three and
-requires the same answer: the same steps, registers, memory (stack
+The kernel is the functional simulator's fast path; the reference loop
+is its fallback and its oracle. Every case here runs a program through
+both and requires the same answer: the same steps, registers, memory (stack
 included), trace, execution counts and bitwidth profile, or the same
 exception type and message with the same memory left behind. The kernel
 must actually have run each case when it is loaded (a silent refusal
@@ -15,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import get_default_pipeline
 from repro.errors import SimulationError
@@ -25,13 +25,12 @@ from repro.fuzz import check_functional
 from repro.isa.encoding import TEXT_BASE
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
+from repro.isa.semantics import _EVAL
 from repro.program.program import DATA_BASE, Program
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.memory import PAGE_MASK, Memory
 from repro.sim.ooo import native
 from repro.workloads import WORKLOAD_NAMES
-
-from test_fastpath import ext_defs, u32
 
 INT_MIN, INT_MAX = -(2**31), 2**31 - 1
 #: the operands every edge table crosses
@@ -78,9 +77,8 @@ def kernel_runs(monkeypatch):
     return seen
 
 
-def _run(prog, defs, compile_blocks, memory, kwargs):
-    sim = FunctionalSimulator(prog, ext_defs=defs, memory=memory(),
-                              compile_blocks=compile_blocks)
+def _run(prog, defs, memory, kwargs):
+    sim = FunctionalSimulator(prog, ext_defs=defs, memory=memory())
     try:
         result = sim.run(**kwargs)
     except Exception as exc:
@@ -99,19 +97,17 @@ def _run(prog, defs, compile_blocks, memory, kwargs):
 
 
 def outcomes(prog, defs=None, memory=Memory, **kwargs) -> dict:
-    """The native, block-compiled and reference outcome of one run."""
+    """The native and reference outcome of one run."""
     kwargs.setdefault("collect_trace", True)
     kwargs.setdefault("profile", True)
-    got = {"native": _run(prog, defs, None, memory, kwargs)}
+    got = {"native": _run(prog, defs, memory, kwargs)}
     with native.disabled():
-        got["blocks"] = _run(prog, defs, True, memory, kwargs)
-    got["reference"] = _run(prog, defs, False, memory, kwargs)
+        got["reference"] = _run(prog, defs, memory, kwargs)
     return got
 
 
 def assert_same(got: dict, kernel_runs: list) -> tuple:
     assert got["native"] == got["reference"]
-    assert got["blocks"] == got["reference"]
     if native.available():
         assert kernel_runs and all(kernel_runs), "the kernel did not run"
     return got["reference"]
@@ -327,6 +323,35 @@ def test_stores_map_pages_anywhere(kernel_runs):
 # ext instructions
 
 
+#: Every ALU opcode a PFU can compute.
+ALU_OPS = sorted(_EVAL, key=lambda op: op.value)
+BOUNDARY = (0, 1, 31, 0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF)
+
+
+@st.composite
+def ext_defs(draw):
+    """Random PFU DAGs over 1 or 2 inputs using all four operand kinds."""
+    n_inputs = draw(st.integers(1, 2))
+    nodes = []
+    for j in range(draw(st.integers(1, 6))):
+        refs = [("in", k) for k in range(n_inputs)] + [("zero",)]
+        refs += [("node", k) for k in range(j)]
+        ref = st.one_of(
+            st.sampled_from(refs),
+            st.tuples(st.just("imm"), st.one_of(
+                st.sampled_from(BOUNDARY + (-1, -32768)),
+                st.integers(-(1 << 31), (1 << 32) - 1),
+            )),
+        )
+        nodes.append(ExtOp(draw(st.sampled_from(ALU_OPS)),
+                           draw(ref), draw(ref)))
+    return ExtInstDef(nodes=tuple(nodes), n_inputs=n_inputs)
+
+
+u32 = st.one_of(st.sampled_from(BOUNDARY),
+                st.integers(0, 0xFFFF_FFFF))
+
+
 def _ext_program(defs: dict, values=VALUES) -> Program:
     """Every configuration of ``defs`` over every operand pair, results
     stored to ``OUT``; one call writes $zero, one reads one register
@@ -370,24 +395,19 @@ def test_ext_edge_table(kernel_runs):
 @given(ext_defs(), u32, u32)
 def test_random_ext_dags(ext, a, b):
     got = outcomes(_ext_program({5: ext}, values=(a, b)), {5: ext})
-    assert got["native"] == got["blocks"] == got["reference"]
+    assert got["native"] == got["reference"]
 
 
 def test_kernel_refuses_a_third_input(kernel_runs):
     """A node reading input 2 has no operand in an ``ext`` instruction's
-    two register reads: construction raises, on every path alike, and
-    no kernel run starts."""
+    two register reads: construction raises, before either path could
+    run, and no kernel run starts."""
     wide = ExtInstDef(nodes=(ExtOp(Opcode.ADDU, ("in", 0), ("in", 2)),),
                       n_inputs=3)
     prog = _ext_program({9: wide}, values=(5,))
-    got = {}
-    for path, compile_blocks in (("native", None), ("blocks", True),
-                                 ("reference", False)):
-        with pytest.raises(SimulationError) as raised:
-            FunctionalSimulator(prog, ext_defs={9: wide},
-                                compile_blocks=compile_blocks)
-        got[path] = str(raised.value)
-    assert got["native"] == got["blocks"] == got["reference"] == (
+    with pytest.raises(SimulationError) as raised:
+        FunctionalSimulator(prog, ext_defs={9: wide})
+    assert str(raised.value) == (
         "instr 6: ext conf 9 reads an input past its two register operands")
     assert not kernel_runs
 
@@ -405,9 +425,10 @@ def test_reference_decode_is_built_on_first_use(kernel_runs):
     fast = FunctionalSimulator(prog)
     fast.run()
     assert "_decoded" not in vars(fast) or not native.available()
-    ref = FunctionalSimulator(prog, compile_blocks=False)
+    ref = FunctionalSimulator(prog)
     assert "_decoded" not in vars(ref)
-    ref.run()
+    with native.disabled():
+        ref.run()
     assert len(vars(ref)["_decoded"]) == len(prog.text)
 
 

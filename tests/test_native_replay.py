@@ -1,17 +1,16 @@
 """The native kernels (:mod:`repro.sim.ooo.native`): replay and pre-pass.
 
-The replay kernel is an alternate path for the fast replay loop, so its
-oracle is the reference loop: every ``SimStats`` field must match on the
-PFU models, latency models and rings this file drives it through. The
-pre-pass kernel's oracle is ``build_prepass`` (and, in
-``tests/test_prepass.py``, a walk through ``MemoryHierarchy``). Inputs
-the kernels cannot take in place — negative or out-of-range static
-indices, an address column shorter than the index column, list columns,
-columns of another typecode — must be refused by both before their
-loops run, so the Python path answers (or raises) exactly as it did; a
-hierarchy the pre-pass kernel does not model is refused too. A missing
-compiler, a failed build and a corrupt cached library all fall back to
-Python. A library in a directory another user owns or can write to, or
+The replay kernel's oracle is the reference loop: every ``SimStats``
+field must match on the PFU models, latency models and rings this file
+drives it through. The pre-pass kernel's oracle is ``build_prepass``
+(and, in ``tests/test_prepass.py``, a walk through ``MemoryHierarchy``).
+Inputs the kernels cannot take in place — negative or out-of-range
+static indices, an address column shorter than the index column, list
+columns, columns of another typecode — must be refused by both before
+their loops run, so the reference loop answers (or raises) exactly as
+it did; a hierarchy the pre-pass kernel does not model is refused too.
+A missing compiler, a failed build and a corrupt cached library all
+fall back to the reference loops. A library in a directory another user owns or can write to, or
 one that is itself writable by others or a symlink, is never loaded.
 """
 
@@ -28,7 +27,7 @@ from repro.engine import get_default_pipeline
 from repro.extinst import SelectionParams
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.cache import HierarchyConfig, TLBConfig
-from repro.sim.ooo import MachineConfig, OoOSimulator, native, pipeline
+from repro.sim.ooo import MachineConfig, OoOSimulator, native
 from repro.sim.ooo.prepass import build_prepass
 from repro.sim.trace import DynTrace
 
@@ -122,6 +121,21 @@ def test_horizon_overflow_retries_with_larger_rings(monkeypatch, calls):
     assert calls[0] is native.OVERFLOW and calls[-1] == "replayed"
 
 
+def test_replay_after_a_disabled_replay_goes_through_the_kernel(calls):
+    """A replay with the kernel disabled leaves nothing cached on the
+    trace that keeps a later replay of it off the kernel."""
+    if not native.available():
+        pytest.skip("native kernel unavailable")
+    program, defs, trace = _rewritten()
+    fresh = DynTrace(indices=trace.indices, addrs=trace.addrs)
+    config = MachineConfig(n_pfus=2, reconfig_latency=10)
+    with native.disabled():
+        OoOSimulator(program, config, ext_defs=defs).simulate(fresh)
+    got = OoOSimulator(program, config, ext_defs=defs).simulate(fresh)
+    assert calls == ["replayed"]
+    assert vars(got) == _reference(program, defs, fresh, config)
+
+
 @pytest.mark.parametrize("name", ["gsm_encode", "unepic"])
 def test_observed_streams_match_reference(name):
     """A live recorder's stall attribution, issue-width histogram and
@@ -145,6 +159,8 @@ def _columns(trace, n=2000):
     "negative_index", "index_past_text", "short_addrs", "list_columns",
 ])
 def test_bad_columns_take_the_python_path(case, monkeypatch, calls):
+    """Columns the kernels refuse replay on the reference loop, which
+    answers or raises as with the kernel disabled."""
     program, defs, trace = _rewritten()
     indices, addrs = _columns(trace)
     if case == "negative_index":
@@ -263,19 +279,22 @@ _EXTREME = (-2**63, 2**63 - 1, -1, -4096, -2**40 - 3, 2**62 + 17)
 
 @pytest.mark.parametrize("case", _COLUMN_CASES[1:] + ["extreme_addrs"])
 def test_prepass_refusals_match_python(case, monkeypatch):
-    """Refused columns fall back to ``build_prepass``, which answers or
-    raises as it always did; negative and extreme int64 addresses are
-    taken, and shift and mask as Python ints do."""
+    """The pre-pass kernel refuses every spoiled column and takes
+    negative and extreme int64 addresses, which it shifts and masks as
+    ``build_prepass`` does with Python ints; with the kernel disabled it
+    refuses everything."""
     program, defs, trace = _rewritten()
     events = OoOSimulator(program, ext_defs=defs)._events
     indices, addrs = _bad_columns(case, program, trace)
     args = (events, indices, addrs, HierarchyConfig(), 4)
     if native.available():
-        assert (native.prepass(*args) is None) == (case != "extreme_addrs")
-    want = _prepass_outcome(build_prepass, *args)
-    assert _prepass_outcome(pipeline._build_prepass, *args) == want
+        got = native.prepass(*args)
+        assert (got is None) == (case != "extreme_addrs")
+        if got is not None:
+            assert _prepass_outcome(native.prepass, *args) == \
+                _prepass_outcome(build_prepass, *args)
     monkeypatch.setattr(native, "ENABLED", False)
-    assert _prepass_outcome(pipeline._build_prepass, *args) == want
+    assert native.prepass(*args) is None
 
 
 def test_extreme_addresses_match_reference():
@@ -298,11 +317,10 @@ def _hierarchy(**fields):
     "mlat_overflow", "past_int64",
 ])
 def test_hierarchies_the_kernel_refuses(case, calls, monkeypatch):
-    """A hierarchy the pre-pass kernel does not model is built by
-    ``build_prepass``, which answers or raises as it always did; a
-    replay then refuses that pre-pass and runs the Python loop, or, for
-    a load latency past the int32 latency column, the reference loop.
-    Either way ``simulate`` answers what the reference loop answers."""
+    """The pre-pass kernel refuses a hierarchy it does not model (and a
+    load latency past the int32 latency column never reaches it), so
+    the replay runs on the reference loop: ``simulate`` answers what
+    the reference loop answers."""
     program, defs, trace = _rewritten()
     hierarchy = {
         "latency_past_cap": _hierarchy(mem_latency=2**24 + 1),
@@ -317,8 +335,6 @@ def test_hierarchies_the_kernel_refuses(case, calls, monkeypatch):
     indices, addrs = _columns(trace)
     args = (events, indices, addrs, hierarchy, 4)
     assert native.prepass(*args) is None
-    assert _prepass_outcome(pipeline._build_prepass, *args) == \
-        _prepass_outcome(build_prepass, *args)
     config = MachineConfig(hierarchy=hierarchy)
     got = _outcome(program, defs, DynTrace(indices=indices, addrs=addrs),
                    config)

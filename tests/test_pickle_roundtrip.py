@@ -66,12 +66,10 @@ def _resimulate_in_subprocess(tmp_path, program, trace, machine, ext_defs):
 @pytest.fixture(scope="module")
 def toolchain():
     """Program/trace pair with every derived cache deliberately warmed:
-    compiled basic blocks on the program, fast-path replay state on the
+    the native code table on the program, fast-path replay state on the
     trace (both are process-local and must not leak into pickles)."""
     program = api.compile(source=SOURCE, name="pickle_rt")
-    result = FunctionalSimulator(program, compile_blocks=True).run(
-        collect_trace=True
-    )
+    result = FunctionalSimulator(program).run(collect_trace=True)
     machine = MachineConfig(n_pfus=2, reconfig_latency=10)
     stats = OoOSimulator(program, machine).simulate(result.trace)
     return program, result.trace, machine, stats
@@ -111,9 +109,8 @@ class TestPickleRoundTrip:
         profile = api.profile(program=program)
         selection = api.select(profile=profile, algorithm="greedy")
         rewritten, defs = api.rewrite(program=program, selection=selection)
-        result = FunctionalSimulator(
-            rewritten, ext_defs=defs, compile_blocks=True
-        ).run(collect_trace=True)
+        result = FunctionalSimulator(rewritten, ext_defs=defs).run(
+            collect_trace=True)
         stats = OoOSimulator(rewritten, machine, ext_defs=defs).simulate(
             result.trace
         )

@@ -1,9 +1,10 @@
 """Differential tests for the event-driven fetch/cache pre-pass.
 
-The pre-pass has two builders: :func:`repro.sim.ooo.prepass.build_prepass`,
-which serves most cache and TLB hits inline through per-set MRU
-mirrors, and the native kernel (:func:`repro.sim.ooo.native.prepass`),
-which models every level itself. Their oracle here is the plain walk
+The pre-pass has two builders: the native kernel
+(:func:`repro.sim.ooo.native.prepass`), which models every level itself
+and builds every pre-pass a replay uses, and its Python oracle
+:func:`repro.sim.ooo.prepass.build_prepass`, which serves most cache
+and TLB hits inline through per-set MRU mirrors. Their oracle here is the plain walk
 both replace: every fetch-line change, load and store sent through
 :class:`~repro.sim.cache.hierarchy.MemoryHierarchy` in program order,
 with the reference loop's fetch-stage bookkeeping. Fetch cycles, load
@@ -32,7 +33,6 @@ from repro.sim.cache import (
 )
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.ooo import MachineConfig, OoOSimulator, native, simulate_many
-from repro.sim.ooo import pipeline
 from repro.sim.ooo.prepass import (
     EV_CTRL, EV_LOAD, EV_NONE, EV_STORE, LEVELS, Prepass, build_prepass,
 )
@@ -254,20 +254,21 @@ def test_native_matches_reference_walk_on_random_streams():
 
 
 def _count_builds(monkeypatch, log):
-    """Count pre-pass builds (native or Python), also those made in the
-    processes ``simulate_many`` forks: each appends one byte to ``log``."""
-    real = pipeline._build_prepass
+    """Count pre-pass builds, also those made in the processes
+    ``simulate_many`` forks: each appends one byte to ``log``."""
+    real = native.prepass
 
     def counting(*args):
         with open(log, "ab") as out:
             out.write(b".")
         return real(*args)
 
-    monkeypatch.setattr(pipeline, "_build_prepass", counting)
+    monkeypatch.setattr(native, "prepass", counting)
     return lambda: log.stat().st_size if log.exists() else 0
 
 
 def test_simulate_many_builds_each_prepass_once(monkeypatch, tmp_path):
+    _need_kernel()
     program, trace = _workload_traces("gsm_encode")[0]
     a = MachineConfig()
     b = replace(a, hierarchy=HIERARCHIES["dl1_2way"])
@@ -303,6 +304,7 @@ def test_prepass_cache_is_keyed_by_program():
 
 
 def test_prepass_span_under_timing_span():
+    _need_kernel()
     program, trace = _workload_traces("gsm_encode")[1]
     plain = OoOSimulator(program).simulate(
         DynTrace(indices=trace.indices, addrs=trace.addrs))
@@ -326,6 +328,7 @@ def test_prepass_span_under_timing_span():
 def test_metrics_report_splits_prepass_from_replay(tmp_path):
     """A run counts its pre-pass once: as pre-pass time, never again
     as replay time."""
+    _need_kernel()
     program = assemble(loop_program(
         ["lw $t0, 0($sp)", "addu $t1, $t1, $t0", "sw $t1, 4($sp)"],
         iterations=400))

@@ -92,10 +92,13 @@ def _assert_reaped(pids) -> None:
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
 def test_forked_grid_equals_serial(name, window, forks):
     program, defs, trace = _rewritten(name)
-    serial = simulate_many(program, trace, GRID, ext_defs=defs,
+    # a recorded timeline replays on the reference loop: every third
+    # machine still covers both values of every axis
+    grid = GRID if window is None else GRID[::3]
+    serial = simulate_many(program, trace, grid, ext_defs=defs,
                            record_window=window, jobs=1)
     assert not forks
-    forked = simulate_many(program, trace, GRID, ext_defs=defs,
+    forked = simulate_many(program, trace, grid, ext_defs=defs,
                            record_window=window, jobs=2)
     assert len(forks) == 1
     assert [_dump(s) for s in forked] == [_dump(s) for s in serial]
@@ -240,6 +243,8 @@ def test_automatic_split_forks_when_it_pays(monkeypatch, forks):
 def test_parent_keeps_the_cached_prepass(monkeypatch, forks):
     """The parent replays the shard that starts on the trace's cached
     pre-pass, so a repeated grid finds it cached again."""
+    if not native.available():
+        pytest.skip("native kernel unavailable: no pre-pass is built")
     program, defs, trace, configs = _big_grid()
     trace = DynTrace(indices=trace.indices, addrs=trace.addrs)
     monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
@@ -310,7 +315,7 @@ def test_automatic_policy_stays_serial(case, monkeypatch, forks):
     else:
         short = DynTrace(indices=trace.indices[:1000],
                          addrs=trace.addrs[:1000])
-        for costs in (parallel.NATIVE, parallel.PYTHON):
+        for costs in (parallel.NATIVE, parallel.REFERENCE):
             assert len(short) * parallel.grid_cost(
                 [0] * 4 + [1] * 4, None, costs) < costs.floor
         want = simulate_many(program, short, configs, ext_defs=defs, jobs=1)
@@ -348,7 +353,7 @@ def test_split_grid_balances_replays_and_prepass_builds():
     # sharing the main pre-pass, which is cached on the trace: the
     # alternative builds its own, the 8 replay the inherited one
     labels = [0] + [1] * 8
-    nat, py, ref = parallel.NATIVE, parallel.PYTHON, parallel.REFERENCE
+    nat, ref = parallel.NATIVE, parallel.REFERENCE
     # the native kernels: a pre-pass is half a replay
     assert (nat.replay, nat.prepass) == (2, 1)
     assert parallel.split_grid(labels, 1, 2, nat) == [(0, 4), (4, 9)]
@@ -360,14 +365,10 @@ def test_split_grid_balances_replays_and_prepass_builds():
     assert parallel.grid_cost(labels, 0, nat, 0, 5) == 2 * 5 + 1
     assert parallel.grid_cost(labels, 0, nat, 5, 9) == 2 * 4 + 1
     assert parallel.split_grid(labels, None, 1, nat) == [(0, 9)]
-    # the Python loop: a pre-pass is half a replay
-    assert (py.replay, py.prepass) == (2, 1)
-    assert parallel.split_grid(labels, 1, 2, py) == [(0, 4), (4, 9)]
-    assert parallel.grid_cost(labels, 1, py, 0, 4) == 2 * 4 + 2
     # the reference loop builds no pre-pass
     assert ref.prepass == 0
     assert parallel.split_grid(labels, None, 2, ref) == [(0, 5), (5, 9)]
-    for costs in (nat, py, ref):
+    for costs in (nat, ref):
         assert parallel.split_grid([0, 0, 0, 1, 1], None, 2, costs) \
             == [(0, 3), (3, 5)]
         assert parallel.split_grid([0, 1], None, 4, costs) \
@@ -387,11 +388,11 @@ def test_split_grid_balances_replays_and_prepass_builds():
 def test_split_follows_the_replay_path(path, monkeypatch):
     """The split weights and the work floor are those of the path the
     grid replays on: on replay_grid's shape with the main pre-pass
-    cached, the native kernels and the Python loop (on both a pre-pass
-    is half a replay) give the parent the last 5 main configurations,
-    and the native kernels keep a 24k-instruction grid serial, while
-    the Python loop and the reference loop (no pre-pass) split it as
-    they always did."""
+    cached, the native kernels (a pre-pass is half a replay) give the
+    parent the last 5 main configurations and keep a 24k-instruction
+    grid serial, while the reference loop (no pre-pass), which a grid
+    takes with the kernel disabled ("python") or forced off, splits it
+    as it always did."""
     if path == "native" and not native.available():
         pytest.skip("native kernel unavailable")
     if path == "python":
@@ -414,7 +415,7 @@ def test_split_follows_the_replay_path(path, monkeypatch):
     got = simulate_many(program, trace, configs, ext_defs=defs, jobs=2)
     assert [_dump(s) for s in got] == [_dump(s) for s in want]
     split = {"native": [list(range(4, 9)), [0, 1, 2, 3]],
-             "python": [list(range(4, 9)), [0, 1, 2, 3]],
+             "python": [[0, 1, 2, 3, 4], [5, 6, 7, 8]],
              "reference": [[0, 1, 2, 3, 4], [5, 6, 7, 8]]}[path]
     assert shards == [split]
     got = simulate_many(program, trace, configs, ext_defs=defs)
