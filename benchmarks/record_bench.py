@@ -299,7 +299,9 @@ def _measure_selection() -> dict:
     One entry, one sub-row per algorithm — the quantity of record is
     how much slower the iterative selectors are than greedy, so a
     future algorithmic regression (e.g. an accidental re-fold inside
-    the KL loop) shows up as a runtime cliff here.
+    the KL loop) shows up as a runtime cliff here. No program analysis
+    is passed, so every call builds and fills a fresh one: the entry
+    times whole selections, never a memo hit.
     """
     from repro.extinst import SelectionParams, run_selection
     from repro.extinst.registry import registered_algorithms

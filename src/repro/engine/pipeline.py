@@ -46,7 +46,9 @@ from repro.extinst import (
     run_selection,
     validate_equivalence,
 )
+from repro.extinst.analysis import ProgramAnalysis
 from repro.extinst.extdef import ExtInstDef
+from repro.extinst.extraction import ExtractionParams
 from repro.extinst.registry import (
     get_selector,
     normalize_select_pfus,
@@ -311,12 +313,27 @@ class ArtifactPipeline:
         def compute() -> Selection:
             self.telemetry.incr("compute.selection")
             profile = self.profile(name, scale)
+            extraction = params.normalized().extraction
+            analysis = self.analysis(name, scale, extraction)
             with _scoped(workload=name, algorithm=params.algorithm):
-                return run_selection(profile, params)
+                return run_selection(profile, params, analysis)
 
         return self._artifact(
             selection_key(name, scale, self.fingerprint(name, scale), params),
             compute,
+        )
+
+    def analysis(
+        self, name: str, scale: int, extraction: ExtractionParams
+    ) -> ProgramAnalysis:
+        """The program analysis every selection of ``name`` shares (memo
+        only).  It is filled inside the first selection that reads it and
+        dies with this pipeline: not a store artefact, since every
+        selection it feeds is one."""
+        key = profile_key(name, scale, self.fingerprint(name, scale))
+        return self._memoized(
+            ("analysis", key, extraction),
+            lambda: ProgramAnalysis(self.profile(name, scale), extraction),
         )
 
     def rewrite(

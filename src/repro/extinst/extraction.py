@@ -187,7 +187,6 @@ def _inputs_consistent(
     deleted); what matters is that no *surviving* instruction between a
     read and the root redefines the register.
     """
-    block_start = dfg.block.start
     text = program.text
     for reg, read_sites in reads_by_reg.items():
         first_read = min(read_sites)
@@ -204,14 +203,17 @@ def _inputs_consistent(
 
 
 def extract_candidate_sequences(
-    profile: ProgramProfile, params: ExtractionParams | None = None
+    profile: ProgramProfile,
+    params: ExtractionParams | None = None,
+    dfgs: dict[int, DataflowGraph] | None = None,
 ) -> list[CandidateSequence]:
-    """Mine maximal candidate sequences from every basic block."""
+    """Mine maximal candidate sequences from every basic block (over
+    the profile's block ``dfgs``, built here when not given)."""
     params = params or ExtractionParams()
     program = profile.program
     cfg = profile.cfg
-    liveness = compute_liveness(cfg)
-    dfgs = build_all_dfgs(cfg, liveness)
+    if dfgs is None:
+        dfgs = build_all_dfgs(cfg, compute_liveness(cfg))
 
     candidate_nodes = _candidate_node_set(profile, params)
     sequences: list[CandidateSequence] = []

@@ -38,21 +38,17 @@ beats selective" holds by construction on every input.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import TYPE_CHECKING
 
+from repro.extinst.analysis import ProgramAnalysis
 from repro.extinst.estimate import estimate_cycles_saved
-from repro.extinst.extraction import (
-    CandidateSequence,
-    extract_candidate_sequences,
-)
-from repro.extinst.matrix import SubOccurrence, enumerate_subsequences
+from repro.extinst.extraction import CandidateSequence
+from repro.extinst.matrix import claim_disjoint
 from repro.extinst.registry import ISEGEN
-from repro.extinst.selection import Selection
-from repro.extinst.selective import fold_group_sites, selective_select
-from repro.obs import get_recorder
+from repro.extinst.selection import Selection, record_selection
+from repro.extinst.selective import fold_groups, selective_select
 from repro.profiling.profiler import ProgramProfile
-from repro.program.dfg import build_all_dfgs
-from repro.program.liveness import compute_liveness
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.extinst.params import SelectionParams
@@ -72,48 +68,39 @@ def isegen_select(
     profile: ProgramProfile,
     n_pfus: int | None,
     params: "SelectionParams | None" = None,
+    *,
+    analysis: ProgramAnalysis | None = None,
 ) -> Selection:
     """Run ISEGEN iterative improvement for an ``n_pfus``-PFU machine.
 
     ``params`` carries the shared extraction/threshold tunables plus the
     isegen knobs (``reconfig_latency``, ``max_passes``,
-    ``stall_passes``); defaults apply when omitted.
+    ``stall_passes``); defaults apply when omitted.  ``analysis``:
+    ``profile``'s, under that extraction (default: fresh), shared with
+    the selective seed.
     """
     from repro.extinst.params import SelectionParams
 
     if params is None:
         params = SelectionParams(algorithm=ISEGEN, select_pfus=n_pfus)
     latency = max(0, params.reconfig_latency)
+    analysis = analysis or ProgramAnalysis(profile, params.extraction)
 
     # ------------------------------------------------------------------
     # candidate space: every maximal sequence (no gain threshold — the
-    # search itself decides what pays), grouped by top-level loop, with
-    # the full subsequence containment structure per sequence.
-    sequences = extract_candidate_sequences(profile, params.extraction)
+    # search itself decides what pays), grouped by top-level loop.
+    sequences = analysis.sequences
     groups: dict[int | None, list[CandidateSequence]] = {}
     for seq in sequences:
         groups.setdefault(seq.outer_loop_header, []).append(seq)
     headers = list(groups)
 
-    program, cfg = profile.program, profile.cfg
-    liveness = compute_liveness(cfg)
-    dfgs = build_all_dfgs(cfg, liveness)
-    subs_cache: dict[
-        int | None, dict[int, dict[tuple, list[SubOccurrence]]]
-    ] = {
-        header: {
-            i: enumerate_subsequences(
-                program, dfgs[seq.bid], seq, params.extraction
-            )
-            for i, seq in enumerate(seqs_g)
-        }
-        for header, seqs_g in groups.items()
-    }
-
     # ------------------------------------------------------------------
     # seed from selective (its per-group budgets make every seed group a
     # legal state); the seed keys are the configurations its sites use.
-    seed_selection = selective_select(profile, n_pfus, params)
+    seed_selection = selective_select(
+        profile, n_pfus, params, analysis=analysis
+    )
     state: dict[int | None, set[tuple]] = {header: set() for header in headers}
     for site in seed_selection.sites:
         loop = profile.outermost_loop_of(site.root)
@@ -121,38 +108,24 @@ def isegen_select(
         if header in state:
             state[header].add(seed_selection.ext_defs[site.conf].key)
 
-    pool = _candidate_pools(groups, subs_cache, state)
+    pool = _candidate_pools(analysis, groups, state)
 
     # ------------------------------------------------------------------
     # group scoring: fold gain minus a cold reconfiguration per distinct
     # configuration the folds use, memoised by (group, chosen-set).
-    eval_cache: dict[tuple, tuple[int, frozenset]] = {}
-
+    @cache
     def eval_group(
         header: int | None, chosen: frozenset
     ) -> tuple[int, frozenset]:
         """(fold gain, used keys) of folding ``header`` with ``chosen``."""
-        cached = eval_cache.get((header, chosen))
-        if cached is not None:
-            return cached
         total = 0
         used: set[tuple] = set()
-        for i, seq in enumerate(groups[header]):
-            embeddings: list[SubOccurrence] = []
-            for key, occs in subs_cache[header][i].items():
-                if key in chosen:
-                    embeddings.extend(occs)
-            embeddings.sort(key=lambda o: (-len(o.nodes), o.nodes))
-            taken: set[int] = set()
+        for seq in groups[header]:
             execs = max(1, seq.exec_count)
-            for occ in embeddings:
-                if taken.isdisjoint(occ.nodes):
-                    taken.update(occ.nodes)
-                    total += execs * occ.build.extdef.gain_per_execution
-                    used.add(occ.key)
-        result = (total, frozenset(used))
-        eval_cache[(header, chosen)] = result
-        return result
+            for occ in analysis.fold(seq, chosen):
+                total += execs * occ.gain
+                used.add(occ.key)
+        return total, frozenset(used)
 
     def group_score(header: int | None, chosen: frozenset) -> int:
         gain, used = eval_group(header, chosen)
@@ -197,7 +170,6 @@ def isegen_select(
     # estimator prefers (folding *all* sequences can differ from the
     # seed's thresholded folds, so the guarantee is enforced, not
     # assumed; ties go to the improved state).
-    allocator, sites = fold_group_sites(groups, subs_cache, state)
     meta = {
         "n_maximal_sequences": len(sequences),
         "n_groups": len(headers),
@@ -208,9 +180,7 @@ def isegen_select(
         "seed_objective": seed_objective,
         "final_objective": final_objective,
     }
-    selection = Selection(
-        ext_defs=allocator.defs, sites=sites, algorithm=ISEGEN, meta=meta
-    )
+    selection = fold_groups(analysis, groups, state, ISEGEN, meta)
     improved = estimate_cycles_saved(profile, selection, n_pfus, latency)
     seed_est = estimate_cycles_saved(
         profile, seed_selection, n_pfus, latency
@@ -225,29 +195,17 @@ def isegen_select(
     else:
         meta["estimated_cycles_saved"] = improved.saved
 
-    rec = get_recorder()
-    if rec.enabled:
-        prog = profile.program.name
-        rec.counter(
-            "selection.candidates.considered",
-            algorithm=ISEGEN, program=prog,
-        ).inc(sum(len(pool[h]) for h in headers))
-        rec.counter(
-            "selection.candidates.accepted",
-            algorithm=ISEGEN, program=prog,
-        ).inc(len(selection.sites))
-        rec.event(
-            "selection.done", algorithm=ISEGEN, program=prog,
-            configs=selection.n_configs, sites=len(selection.sites),
-            passes=passes, moves=total_moves,
-            objective=meta["estimated_cycles_saved"],
-        )
+    record_selection(
+        profile, selection, considered=sum(len(pool[h]) for h in headers),
+        passes=passes, moves=total_moves,
+        objective=meta["estimated_cycles_saved"],
+    )
     return selection
 
 
 def _candidate_pools(
+    analysis: ProgramAnalysis,
     groups: dict[int | None, list[CandidateSequence]],
-    subs_cache: dict[int | None, dict[int, dict[tuple, list[SubOccurrence]]]],
     state: dict[int | None, set[tuple]],
 ) -> dict[int | None, list[tuple]]:
     """Ranked toggle candidates per group.
@@ -263,16 +221,11 @@ def _candidate_pools(
     for header, seqs_g in groups.items():
         weight: dict[tuple, int] = {}
         size: dict[tuple, int] = {}
-        for i, seq in enumerate(seqs_g):
+        for seq in seqs_g:
             execs = max(1, seq.exec_count)
-            for key, occs in subs_cache[header][i].items():
-                count, taken = 0, set()
-                for occ in sorted(occs, key=lambda o: o.nodes):
-                    if taken.isdisjoint(occ.nodes):
-                        taken.update(occ.nodes)
-                        count += 1
-                gain = occs[0].build.extdef.gain_per_execution
-                weight[key] = weight.get(key, 0) + count * execs * gain
+            for key, occs in analysis.subsequences(seq).items():
+                payoff = claim_disjoint(occs, set()) * execs * occs[0].gain
+                weight[key] = weight.get(key, 0) + payoff
                 size[key] = len(occs[0].build.extdef.nodes)
         ranked = sorted(
             weight, key=lambda k: (-weight[k], -size[k], repr(k))

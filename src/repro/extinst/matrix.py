@@ -16,6 +16,7 @@ paper's example). The diagonal counts maximal (stand-alone) appearances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from repro.extinst.extdef import ExtInstDef
@@ -31,14 +32,19 @@ from repro.program.program import Program
 
 @dataclass(frozen=True)
 class SubOccurrence:
-    """One embedding of a pattern inside a maximal sequence occurrence."""
+    """One embedding of a pattern inside a maximal sequence occurrence
+    (``key`` and per-execution ``gain`` are computed once)."""
 
     nodes: tuple[int, ...]
     build: SequenceBuild
 
-    @property
+    @cached_property
     def key(self) -> tuple:
         return self.build.extdef.key
+
+    @cached_property
+    def gain(self) -> int:
+        return self.build.extdef.gain_per_execution
 
 
 def enumerate_subsequences(
@@ -65,19 +71,24 @@ def enumerate_subsequences(
     return out
 
 
+def claim_disjoint(occurrences, taken: set[int]) -> int:
+    """Claim, in the given order, each embedding that overlaps nothing
+    already in ``taken``; return how many were claimed."""
+    count = 0
+    for occ in occurrences:
+        if taken.isdisjoint(occ.nodes):
+            taken.update(occ.nodes)
+            count += 1
+    return count
+
+
 def disjoint_count(occurrences: list[SubOccurrence]) -> int:
     """Maximum number of non-overlapping embeddings (greedy by position).
 
     Used so that a pattern appearing in two overlapping ways inside one
     maximal sequence is not double-counted in the gain estimate.
     """
-    taken: set[int] = set()
-    count = 0
-    for occ in sorted(occurrences, key=lambda o: o.nodes):
-        if taken.isdisjoint(occ.nodes):
-            taken.update(occ.nodes)
-            count += 1
-    return count
+    return claim_disjoint(sorted(occurrences, key=lambda o: o.nodes), set())
 
 
 @dataclass
@@ -104,12 +115,11 @@ class ContainmentMatrix:
 
 
 def build_containment_matrix(
-    program: Program,
-    dfgs: dict[int, DataflowGraph],
     maximal_seqs: list[CandidateSequence],
-    params: ExtractionParams,
+    subs: list[dict[tuple, list[SubOccurrence]]],
 ) -> ContainmentMatrix:
-    """Build the matrix over a group of maximal sequences (one loop).
+    """Build the matrix over a group of maximal sequences (one loop)
+    from their :func:`enumerate_subsequences` dicts ``subs``.
 
     Column ``J`` corresponds to the J-th distinct *maximal* key; multiple
     occurrences of the same maximal pattern accumulate into one column
@@ -126,16 +136,15 @@ def build_containment_matrix(
     cells: dict[tuple, dict[int, int]] = {}
     gains: dict[tuple, int] = {}
     defs: dict[tuple, ExtInstDef] = {}
-    for seq in maximal_seqs:
+    for seq, seq_subs in zip(maximal_seqs, subs):
         col = col_of[seq.key]
-        subs = enumerate_subsequences(program, dfgs[seq.bid], seq, params)
-        for key, occs in subs.items():
+        for key, occs in seq_subs.items():
             n = disjoint_count(occs)
             if n == 0:
                 continue
             cells.setdefault(key, {})
             cells[key][col] = cells[key].get(col, 0) + n * max(1, seq.exec_count)
-            gains.setdefault(key, occs[0].build.extdef.gain_per_execution)
+            gains.setdefault(key, occs[0].gain)
             defs.setdefault(key, occs[0].build.extdef)
 
     keys = list(cells)

@@ -30,8 +30,8 @@ from repro.extinst.registry import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.extinst.analysis import ProgramAnalysis
     from repro.extinst.selection import Selection
-    from repro.extinst.selective import SelectiveParams
     from repro.profiling.profiler import ProgramProfile
 
 #: Snapshot of the built-in algorithm names (legacy import surface).
@@ -83,21 +83,20 @@ class SelectionParams:
         )
         return self if collapsed == self else collapsed
 
-    def selective_params(self) -> "SelectiveParams":
-        """The equivalent :class:`~repro.extinst.selective.SelectiveParams`."""
-        from repro.extinst.selective import SelectiveParams
-
-        return SelectiveParams(
-            gain_threshold=self.gain_threshold, extraction=self.extraction
-        )
-
 
 def run_selection(
-    profile: "ProgramProfile", params: SelectionParams
+    profile: "ProgramProfile",
+    params: SelectionParams,
+    analysis: "ProgramAnalysis | None" = None,
 ) -> "Selection":
-    """Dispatch ``params`` to its registered algorithm implementation."""
+    """Dispatch ``params`` to its registered algorithm implementation,
+    handing ``analysis`` (``profile``'s under ``params.extraction``, or
+    None for a fresh one) to selectors that use one."""
     params = params.normalized()
-    return get_selector(params.algorithm).run(profile, params)
+    spec = get_selector(params.algorithm)
+    if spec.uses_analysis:
+        return spec.run(profile, params, analysis)
+    return spec.run(profile, params)
 
 
 __all__ = [

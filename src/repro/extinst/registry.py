@@ -39,7 +39,6 @@ from repro.extinst.extraction import ExtractionParams
 if TYPE_CHECKING:  # pragma: no cover
     from repro.extinst.params import SelectionParams
     from repro.extinst.selection import Selection
-    from repro.profiling.profiler import ProgramProfile
 
 #: The built-in algorithm names. Import these instead of spelling the
 #: strings: every quoted algorithm literal outside ``repro.extinst`` is
@@ -87,15 +86,19 @@ class SelectorSpec:
     is False for algorithms that ignore the PFU budget (greedy);
     ``latency_aware`` marks algorithms whose *selection* depends on the
     reconfiguration latency (isegen), which the figures harness uses to
-    re-select per latency point.
+    re-select per latency point.  ``uses_analysis`` marks runners that
+    take a third argument, the
+    :class:`~repro.extinst.analysis.ProgramAnalysis` shared by every
+    selection of the program (or ``None``: build one).
     """
 
     name: str
-    run: Callable[["ProgramProfile", "SelectionParams"], "Selection"]
+    run: Callable[..., "Selection"]
     description: str
     uses_select_pfus: bool = True
     latency_aware: bool = False
     tunables: tuple[Tunable, ...] = ()
+    uses_analysis: bool = False
 
 
 _REGISTRY: dict[str, SelectorSpec] = {}
@@ -164,24 +167,24 @@ def normalize_select_pfus(
 # built-in selectors (runners import lazily: plugins stay cheap to list)
 
 
-def _run_greedy(profile, params):
+def _run_greedy(profile, params, analysis):
     from repro.extinst.greedy import greedy_select
 
-    return greedy_select(profile, params.extraction)
+    return greedy_select(profile, params, analysis=analysis)
 
 
-def _run_selective(profile, params):
+def _run_selective(profile, params, analysis):
     from repro.extinst.selective import selective_select
 
     return selective_select(
-        profile, params.select_pfus, params.selective_params()
+        profile, params.select_pfus, params, analysis=analysis
     )
 
 
-def _run_isegen(profile, params):
+def _run_isegen(profile, params, analysis):
     from repro.extinst.isegen import isegen_select
 
-    return isegen_select(profile, params.select_pfus, params)
+    return isegen_select(profile, params.select_pfus, params, analysis=analysis)
 
 
 _EXTRACTION = Tunable(
@@ -199,6 +202,7 @@ register_selector(SelectorSpec(
     description="fold every maximal sequence (§4); ignores the PFU budget",
     uses_select_pfus=False,
     tunables=(_EXTRACTION,),
+    uses_analysis=True,
 ))
 
 register_selector(SelectorSpec(
@@ -207,6 +211,7 @@ register_selector(SelectorSpec(
     description=("gain threshold + per-loop PFU budgeting via the "
                  "containment matrix (§5)"),
     tunables=(_GAIN_THRESHOLD, _EXTRACTION),
+    uses_analysis=True,
 ))
 
 register_selector(SelectorSpec(
@@ -227,6 +232,7 @@ register_selector(SelectorSpec(
                 "stop after this many consecutive passes without "
                 "improvement"),
     ),
+    uses_analysis=True,
 ))
 
 

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.extinst.extdef import ExtInstDef
+from repro.obs import get_recorder
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.profiling.profiler import ProgramProfile
 
 
 @dataclass(frozen=True)
@@ -65,3 +70,47 @@ class ConfAllocator:
             self._by_key[extdef.key] = conf
             self.defs[conf] = extdef
         return conf
+
+
+def fold_selection(folds, algorithm: str, meta: dict) -> Selection:
+    """Fold each ``(bid, nodes, build)`` in order, one configuration per
+    key (``build``: a sequence build, or a maximal sequence folded whole)."""
+    allocator = ConfAllocator()
+    sites = [
+        RewriteSite(
+            bid=bid,
+            nodes=nodes,
+            conf=allocator.conf_for(build.extdef),
+            input_regs=build.input_regs,
+            output_reg=build.output_reg,
+        )
+        for bid, nodes, build in folds
+    ]
+    return Selection(
+        ext_defs=allocator.defs, sites=sites, algorithm=algorithm, meta=meta
+    )
+
+
+def record_selection(
+    profile: "ProgramProfile",
+    selection: Selection,
+    considered: int,
+    rejected: dict[str, int] | None = None,
+    **done,
+) -> None:
+    """Count a finished selection's candidates (considered, accepted and
+    rejected by reason) and emit its ``selection.done`` event."""
+    rec = get_recorder()
+    if not rec.enabled:
+        return
+    labels = {"algorithm": selection.algorithm,
+              "program": profile.program.name}
+    rec.counter("selection.candidates.considered", **labels).inc(considered)
+    rec.counter("selection.candidates.accepted", **labels).inc(
+        len(selection.sites))
+    for reason, count in (rejected or {}).items():
+        if count:
+            rec.counter("selection.candidates.rejected", reason=reason,
+                        **labels).inc(count)
+    rec.event("selection.done", **labels, configs=selection.n_configs,
+              sites=len(selection.sites), **done)

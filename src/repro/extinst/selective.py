@@ -25,21 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.extinst.extraction import (
-    CandidateSequence,
-    ExtractionParams,
-    extract_candidate_sequences,
-)
+from repro.extinst.analysis import ProgramAnalysis
+from repro.extinst.extraction import CandidateSequence, ExtractionParams
 from repro.extinst.matrix import (
     SubOccurrence,
     build_containment_matrix,
-    enumerate_subsequences,
+    claim_disjoint,
 )
-from repro.extinst.selection import ConfAllocator, RewriteSite, Selection
-from repro.obs import get_recorder
+from repro.extinst.selection import Selection, fold_selection, record_selection
 from repro.profiling.profiler import ProgramProfile
-from repro.program.dfg import build_all_dfgs
-from repro.program.liveness import compute_liveness
 
 
 @dataclass(frozen=True)
@@ -54,6 +48,8 @@ def selective_select(
     profile: ProgramProfile,
     n_pfus: int | None,
     params: "SelectiveParams | SelectionParams | None" = None,
+    *,
+    analysis: ProgramAnalysis | None = None,
 ) -> Selection:
     """Run the selective algorithm for a machine with ``n_pfus`` PFUs.
 
@@ -63,13 +59,11 @@ def selective_select(
     ``params`` may be the historical :class:`SelectiveParams` or a full
     :class:`~repro.extinst.params.SelectionParams` (its threshold and
     extraction tunables are used; ``n_pfus`` here stays authoritative).
+    ``analysis``: ``profile``'s, under that extraction (default: fresh).
     """
-    from repro.extinst.params import SelectionParams
-
-    if isinstance(params, SelectionParams):
-        params = params.selective_params()
     params = params or SelectiveParams()
-    sequences = extract_candidate_sequences(profile, params.extraction)
+    analysis = analysis or ProgramAnalysis(profile, params.extraction)
+    sequences = analysis.sequences
     total_time = max(1, profile.base_cycles_estimate)
 
     kept = [
@@ -78,20 +72,6 @@ def selective_select(
         if seq.exec_count * len(seq.nodes) / total_time >= params.gain_threshold
     ]
     distinct_keys = {seq.key for seq in kept}
-
-    rec = get_recorder()
-    if rec.enabled:
-        prog = profile.program.name
-        rec.counter(
-            "selection.candidates.considered",
-            algorithm="selective", program=prog,
-        ).inc(len(sequences))
-        below = len(sequences) - len(kept)
-        if below:
-            rec.counter(
-                "selection.candidates.rejected",
-                algorithm="selective", program=prog, reason="gain_threshold",
-            ).inc(below)
     meta = {
         "n_maximal_sequences": len(sequences),
         "n_after_threshold": len(kept),
@@ -102,101 +82,56 @@ def selective_select(
 
     if n_pfus is None or len(distinct_keys) <= n_pfus:
         meta["per_loop_phase"] = False
-        selection = _select_whole_sequences(kept, meta)
+        selection = fold_selection(
+            ((seq.bid, seq.nodes, seq) for seq in kept), "selective", meta
+        )
     else:
         meta["per_loop_phase"] = True
-        selection = _select_per_loop(profile, kept, n_pfus, params, meta)
+        selection = _select_per_loop(analysis, kept, n_pfus, meta)
 
-    if rec.enabled:
-        rec.counter(
-            "selection.candidates.accepted",
-            algorithm="selective", program=prog,
-        ).inc(len(selection.sites))
-        budget_rejected = meta.get("n_budget_rejected", 0)
-        if budget_rejected:
-            rec.counter(
-                "selection.candidates.rejected",
-                algorithm="selective", program=prog, reason="pfu_budget",
-            ).inc(budget_rejected)
-        rec.event(
-            "selection.done", algorithm="selective", program=prog,
-            configs=selection.n_configs, sites=len(selection.sites),
-            per_loop=meta["per_loop_phase"],
-        )
-    return selection
-
-
-def _select_whole_sequences(
-    kept: list[CandidateSequence], meta: dict
-) -> Selection:
-    allocator = ConfAllocator()
-    sites = [
-        RewriteSite(
-            bid=seq.bid,
-            nodes=seq.nodes,
-            conf=allocator.conf_for(seq.extdef),
-            input_regs=seq.input_regs,
-            output_reg=seq.output_reg,
-        )
-        for seq in kept
-    ]
-    return Selection(
-        ext_defs=allocator.defs, sites=sites, algorithm="selective", meta=meta
+    record_selection(
+        profile, selection, considered=len(sequences),
+        rejected={"gain_threshold": len(sequences) - len(kept),
+                  "pfu_budget": meta.get("n_budget_rejected", 0)},
+        per_loop=meta["per_loop_phase"],
     )
+    return selection
 
 
 def _marginal_gain(
     key: tuple,
     seqs_g: list[CandidateSequence],
-    subs_by_seq: dict[int, dict[tuple, list[SubOccurrence]]],
-    taken_by_seq: dict[int, set[int]],
+    subs_by_seq: list[dict[tuple, list[SubOccurrence]]],
+    taken_by_seq: list[set[int]],
     gain_per_exec: int,
 ) -> int:
     """Gain pattern ``key`` would add, given nodes already claimed by
     previously chosen patterns. Prevents spending a PFU on a pattern whose
     embeddings are fully covered (e.g. a subchain of an already-chosen
-    maximal chain)."""
-    total = 0
-    for i, seq in enumerate(seqs_g):
-        occs = subs_by_seq[i].get(key)
-        if not occs:
-            continue
-        taken = taken_by_seq[i]
-        count = 0
-        local_taken = set(taken)
-        for occ in sorted(occs, key=lambda o: o.nodes):
-            if local_taken.isdisjoint(occ.nodes):
-                local_taken.update(occ.nodes)
-                count += 1
-        total += count * max(1, seq.exec_count) * gain_per_exec
-    return total
+    maximal chain). A key's occurrences already ascend by position."""
+    return gain_per_exec * sum(
+        claim_disjoint(subs[key], set(taken)) * max(1, seq.exec_count)
+        for seq, subs, taken in zip(seqs_g, subs_by_seq, taken_by_seq)
+        if key in subs
+    )
 
 
 def _claim_nodes(
     key: tuple,
-    seqs_g: list[CandidateSequence],
-    subs_by_seq: dict[int, dict[tuple, list[SubOccurrence]]],
-    taken_by_seq: dict[int, set[int]],
+    subs_by_seq: list[dict[tuple, list[SubOccurrence]]],
+    taken_by_seq: list[set[int]],
 ) -> None:
     """Mark the nodes pattern ``key``'s (greedy, disjoint) embeddings cover."""
-    for i, _seq in enumerate(seqs_g):
-        for occ in sorted(subs_by_seq[i].get(key, ()), key=lambda o: o.nodes):
-            if taken_by_seq[i].isdisjoint(occ.nodes):
-                taken_by_seq[i].update(occ.nodes)
+    for subs, taken in zip(subs_by_seq, taken_by_seq):
+        claim_disjoint(subs.get(key, ()), taken)
 
 
 def _select_per_loop(
-    profile: ProgramProfile,
+    analysis: ProgramAnalysis,
     kept: list[CandidateSequence],
     n_pfus: int,
-    params: SelectiveParams,
     meta: dict,
 ) -> Selection:
-    program = profile.program
-    cfg = profile.cfg
-    liveness = compute_liveness(cfg)
-    dfgs = build_all_dfgs(cfg, liveness)
-
     # Group kept sequences by their *top-level* containing loop. Budgeting
     # the outermost loop automatically satisfies the per-loop cap for every
     # nested loop (their configurations are a subset of the <= n_pfus
@@ -209,31 +144,26 @@ def _select_per_loop(
         groups.setdefault(seq.outer_loop_header, []).append(seq)
 
     # Hotter groups first: they get first pick of globally shared configs.
-    def group_weight(header: int | None) -> int:
-        return sum(s.total_gain for s in groups[header])
-
-    ordered_groups = sorted(groups, key=group_weight, reverse=True)
+    ordered_groups = sorted(
+        groups, key=lambda h: sum(s.total_gain for s in groups[h]),
+        reverse=True,
+    )
 
     chosen_defs: dict[tuple, object] = {}        # key -> ExtInstDef
     chosen_for_group: dict[int | None, set[tuple]] = {}
-    subs_cache: dict[int | None, dict[int, dict[tuple, list[SubOccurrence]]]] = {}
     budget_rejected = 0
 
     for header in ordered_groups:
         seqs_g = groups[header]
-        matrix = build_containment_matrix(program, dfgs, seqs_g, params.extraction)
-        subs_by_seq = {
-            i: enumerate_subsequences(program, dfgs[seq.bid], seq, params.extraction)
-            for i, seq in enumerate(seqs_g)
-        }
-        subs_cache[header] = subs_by_seq
-        taken_by_seq: dict[int, set[int]] = {i: set() for i in range(len(seqs_g))}
+        subs_by_seq = [analysis.subsequences(seq) for seq in seqs_g]
+        matrix = build_containment_matrix(seqs_g, subs_by_seq)
+        taken_by_seq: list[set[int]] = [set() for _ in seqs_g]
 
         # Configurations already chosen for other loops apply here for free
         # (same PFU contents); they claim their embeddings first.
         present_chosen = {k for k in matrix.keys if k in chosen_defs}
         for key in present_chosen:
-            _claim_nodes(key, seqs_g, subs_by_seq, taken_by_seq)
+            _claim_nodes(key, subs_by_seq, taken_by_seq)
 
         # Fill the remaining PFU budget by marginal gain: each round picks
         # the pattern adding the most cycles *not already covered*, so two
@@ -259,9 +189,8 @@ def _select_per_loop(
             if best_key is None or best_gain == 0:
                 break
             new_keys.append(best_key)
-            _claim_nodes(best_key, seqs_g, subs_by_seq, taken_by_seq)
-        for key in new_keys:
-            chosen_defs[key] = matrix.defs[key]
+            _claim_nodes(best_key, subs_by_seq, taken_by_seq)
+        chosen_defs.update((key, matrix.defs[key]) for key in new_keys)
         chosen_for_group[header] = present_chosen | set(new_keys)
         budget_rejected += len(matrix.keys) - len(chosen_for_group[header])
 
@@ -274,46 +203,25 @@ def _select_per_loop(
 
     # Rewrite phase: inside each group, fold non-overlapping embeddings of
     # that group's chosen patterns, largest saving first.
-    allocator, sites = fold_group_sites(groups, subs_cache, chosen_for_group)
-    return Selection(
-        ext_defs=allocator.defs, sites=sites, algorithm="selective", meta=meta
-    )
+    return fold_groups(analysis, groups, chosen_for_group, "selective", meta)
 
 
-def fold_group_sites(
+def fold_groups(
+    analysis: ProgramAnalysis,
     groups: dict[int | None, list[CandidateSequence]],
-    subs_cache: dict[int | None, dict[int, dict[tuple, list[SubOccurrence]]]],
     chosen_for_group: dict[int | None, set[tuple]],
-) -> tuple[ConfAllocator, list[RewriteSite]]:
-    """The rewrite fold selective and isegen share: inside each group,
-    fold non-overlapping embeddings of that group's chosen patterns,
-    largest saving first.  Deterministic given deterministic inputs —
-    groups iterate in insertion order, embeddings sort on a total key."""
-    allocator = ConfAllocator()
-    sites: list[RewriteSite] = []
-    for header, seqs_g in groups.items():
-        allowed = chosen_for_group.get(header)
-        if not allowed:
-            continue
-        for i, seq in enumerate(seqs_g):
-            subs = subs_cache[header][i]
-            embeddings: list[SubOccurrence] = []
-            for key, occs in subs.items():
-                if key in allowed:
-                    embeddings.extend(occs)
-            embeddings.sort(key=lambda o: (-len(o.nodes), o.nodes))
-            taken: set[int] = set()
-            for occ in embeddings:
-                if not taken.isdisjoint(occ.nodes):
-                    continue
-                taken.update(occ.nodes)
-                sites.append(
-                    RewriteSite(
-                        bid=seq.bid,
-                        nodes=occ.nodes,
-                        conf=allocator.conf_for(occ.build.extdef),
-                        input_regs=occ.build.input_regs,
-                        output_reg=occ.build.output_reg,
-                    )
-                )
-    return allocator, sites
+    algorithm: str,
+    meta: dict,
+) -> Selection:
+    """The rewrite fold selective and isegen share: inside each group
+    (in insertion order), fold non-overlapping embeddings of the group's
+    chosen patterns, largest saving first."""
+    return fold_selection(
+        (
+            (seq.bid, occ.nodes, occ.build)
+            for header, seqs_g in groups.items()
+            for seq in seqs_g
+            for occ in analysis.fold(seq, chosen_for_group.get(header, ()))
+        ),
+        algorithm, meta,
+    )

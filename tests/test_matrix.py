@@ -2,6 +2,7 @@
 including a reconstruction of the paper's Figure 3/4 example."""
 
 from repro.asm import assemble
+from repro.extinst.analysis import ProgramAnalysis
 from repro.extinst.extraction import (
     ExtractionParams,
     extract_candidate_sequences,
@@ -47,6 +48,14 @@ def fig3_setup():
     cfg = profile.cfg
     dfgs = build_all_dfgs(cfg, compute_liveness(cfg))
     return program, params, seqs, dfgs
+
+
+def loop_matrix():
+    """The containment matrix of FIG3's loop, and the loop's sequences."""
+    analysis = ProgramAnalysis(profile_program(assemble(FIG3)))
+    loop_seqs = [s for s in analysis.sequences if s.loop_header is not None]
+    subs = [analysis.subsequences(s) for s in loop_seqs]
+    return build_containment_matrix(loop_seqs, subs), loop_seqs
 
 
 class TestFigure3Extraction:
@@ -104,9 +113,7 @@ class TestContainmentMatrix:
     def test_figure4_shape(self):
         """Reproduce Figure 4: [J,I] entry nonzero (J inside I), and the
         diagonal counts maximal appearances."""
-        program, params, seqs, dfgs = fig3_setup()
-        loop_seqs = [s for s in seqs if s.loop_header is not None]
-        matrix = build_containment_matrix(program, dfgs, loop_seqs, params)
+        matrix, loop_seqs = loop_matrix()
 
         big = max(loop_seqs, key=lambda s: len(s.nodes))
         small = next(s for s in loop_seqs if len(s.nodes) == 2)
@@ -124,9 +131,7 @@ class TestContainmentMatrix:
         assert j_row[col_of[small.key]] > 0
 
     def test_scores_weight_gain_and_frequency(self):
-        program, params, seqs, dfgs = fig3_setup()
-        loop_seqs = [s for s in seqs if s.loop_header is not None]
-        matrix = build_containment_matrix(program, dfgs, loop_seqs, params)
+        matrix, loop_seqs = loop_matrix()
         small = next(s for s in loop_seqs if len(s.nodes) == 2)
         big = max(loop_seqs, key=lambda s: len(s.nodes))
         # paper example: J appears 3x with gain 1 (score 3/occurrence set);
@@ -134,9 +139,7 @@ class TestContainmentMatrix:
         assert matrix.score(small.key) > matrix.score(big.key)
 
     def test_ranked_keys_sorted(self):
-        program, params, seqs, dfgs = fig3_setup()
-        loop_seqs = [s for s in seqs if s.loop_header is not None]
-        matrix = build_containment_matrix(program, dfgs, loop_seqs, params)
+        matrix, loop_seqs = loop_matrix()
         ranked = matrix.ranked_keys()
         scores = [matrix.score(k) for k in ranked]
         assert scores == sorted(scores, reverse=True)

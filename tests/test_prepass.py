@@ -303,6 +303,23 @@ def test_prepass_cache_is_keyed_by_program():
     assert vars(got) == vars(want)
 
 
+def test_disabled_replay_leaves_no_prepass(monkeypatch, tmp_path):
+    """A replay under ``native.disabled()`` runs the reference loop and
+    caches nothing on the trace, so the next enabled replay of that
+    trace builds the native pre-pass and returns the same stats."""
+    _need_kernel()
+    program, trace = _workload_traces("gsm_encode")[1]
+    fresh = DynTrace(indices=trace.indices, addrs=trace.addrs)
+    with native.disabled():
+        reference = OoOSimulator(program).simulate(fresh)
+    assert getattr(fresh, "_prepass_cache", None) is None
+    builds = _count_builds(monkeypatch, tmp_path / "builds")
+    kernel = OoOSimulator(program).simulate(fresh)
+    assert builds() == 1
+    assert getattr(fresh, "_prepass_cache", None) is not None
+    assert vars(kernel) == vars(reference)
+
+
 def test_prepass_span_under_timing_span():
     _need_kernel()
     program, trace = _workload_traces("gsm_encode")[1]
