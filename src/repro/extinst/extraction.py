@@ -187,6 +187,7 @@ def _inputs_consistent(
     deleted); what matters is that no *surviving* instruction between a
     read and the root redefines the register.
     """
+    block_start = dfg.block.start
     text = program.text
     for reg, read_sites in reads_by_reg.items():
         first_read = min(read_sites)
