@@ -291,6 +291,87 @@ def _measure_explore_pruning() -> dict:
     }
 
 
+def _measure_explore_warm() -> dict:
+    """The warm-sweep entry: a store-backed sweep over perfbench
+    ``dse_sweep``'s grid (``gsm_encode`` + ``mpeg2_decode``, 52 points,
+    pruning on), run cold once and then re-run warm, each warm run with a
+    fresh engine on the same store, as ``explore resume`` does.
+
+    The entry keeps the median of the warm runs and the store gets of
+    one of them by artefact kind (deterministic: a warm point reads its
+    timings and its selection, nothing else) plus the scheduler jobs it
+    ran. Recording aborts unless every warm run simulates nothing and
+    reports the cold run's rows.
+    """
+    import gc
+    from collections import Counter
+
+    from repro.engine import (
+        ArtifactStore, EngineConfig, ExperimentEngine, Scheduler,
+    )
+    from repro.explore import SweepSpec, run_sweep
+
+    spec = SweepSpec.from_json({
+        "name": "bench-explore-warm",
+        "workloads": ["gsm_encode", "mpeg2_decode"],
+        "scale": 1, "mode": "grid", "prune": True,
+        "axes": {
+            "algorithm": ["selective", "isegen"],
+            "n_pfus": [2, None],
+            "reconfig_latency": [10, 100, 500],
+            "ruu_size": [32, 64],
+        },
+    })
+
+    def rows(outcome):
+        return [{**r.to_json(), "status": None} for r in outcome.results]
+
+    gets: Counter = Counter()
+    jobs = []
+    real_get, real_run = ArtifactStore.get, Scheduler.run
+
+    def counting_get(self, key):
+        gets[key.kind] += 1
+        return real_get(self, key)
+
+    def counting_run(self, graph, runner):
+        jobs.append(len(graph))
+        return real_run(self, graph, runner)
+
+    with tempfile.TemporaryDirectory() as cache_dir:
+        def sweep():
+            engine = ExperimentEngine(EngineConfig(jobs=1,
+                                                   cache_dir=cache_dir))
+            return run_sweep(spec, engine)
+
+        cold = sweep()
+        ArtifactStore.get, Scheduler.run = counting_get, counting_run
+        try:
+            warm = sweep()
+        finally:
+            ArtifactStore.get, Scheduler.run = real_get, real_run
+        times = []
+        for _ in range(7):
+            gc.collect()
+            t0 = time.perf_counter()
+            again = sweep()
+            times.append(time.perf_counter() - t0)
+            if again.n_simulated or rows(again) != rows(cold):
+                raise SystemExit("warm sweep simulated or differs from cold")
+    median_s = statistics.median(times)
+    return {
+        "explore_warm": {
+            "median_s": round(median_s, 6),
+            "ops_per_s": round(warm.n_points / median_s, 2),
+            "rounds": len(times),
+            "points": warm.n_points,
+            "warm_points": warm.n_warm,
+            "store_gets": dict(sorted(gets.items())),
+            "scheduler_jobs": sum(jobs),
+        },
+    }
+
+
 def _measure_selection() -> dict:
     """The selector-runtime entry: wall-clock of every registered
     selection algorithm on the same profiled workload (gsm_encode,
@@ -474,6 +555,7 @@ SOURCES = {
     "native_prepass": _measure_native_prepass,
     "native_functional": _measure_native_functional,
     "explore_pruning": _measure_explore_pruning,
+    "explore_warm": _measure_explore_warm,
     "selector_runtime": _measure_selection,
     "wire_framing": _measure_wire_framing,
     "gateway_fleet": _measure_gateway_fleet,

@@ -25,7 +25,10 @@ drivers fall back to): ``T1000_JOBS``, ``T1000_CACHE_DIR``,
 from __future__ import annotations
 
 import os
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
+from functools import partial
+from typing import Any
 
 from repro.engine.pipeline import (
     ArtifactPipeline,
@@ -35,6 +38,7 @@ from repro.engine.pipeline import (
     execute_job,
     get_default_pipeline,
     make_spec,
+    requested_selection,
     run_stage,
     selection_from_payload,
     spec_payload,
@@ -152,12 +156,28 @@ class ExperimentEngine:
             return lambda payload: run_stage(self.pipeline, payload)
         return execute_job
 
-    def _execute(self, graph: JobGraph) -> dict[str, JobResult]:
+    def _execute(
+        self, graph: JobGraph,
+        warm: dict[str, Callable[[], Any]] | None = None,
+    ) -> dict[str, Any]:
+        """Each job's value, by job id, plus the answer of each ``warm``
+        thunk under its own id.
+
+        Warm thunks read the store through this engine's pipeline and
+        run first, in process; the graph runs after them and not at all
+        when it is empty.
+        """
         try:
-            results = self._scheduler().run(graph, self._runner())
+            answers = {
+                leaf: answer() for leaf, answer in (warm or {}).items()
+            }
+            results = (
+                self._scheduler().run(graph, self._runner()) if graph
+                else {}
+            )
         finally:
-            # Inline stages count into this store: persist once per run,
-            # even when the run fails below.
+            # Warm reads and inline stages count into this store: persist
+            # once per run, even when the run fails below.
             if self.store is not None:
                 self.store.flush_counters()
         # Pool workers (and the shared storeless pipeline) count into
@@ -184,7 +204,11 @@ class ExperimentEngine:
             raise EngineError(
                 f"{len(failures)} job(s) did not complete: {detail}"
             )
-        return results
+        answers.update(
+            (job_id, result.value["value"])
+            for job_id, result in results.items()
+        )
+        return answers
 
     # ------------------------------------------------------------------
     # graph construction
@@ -227,45 +251,69 @@ class ExperimentEngine:
     # public API
 
     def run_batch(self, specs: list[ExperimentSpec]) -> list[ExperimentResult]:
-        """Run a batch of experiments; results come back in spec order."""
+        """Run a batch of experiments; results come back in spec order.
+
+        An experiment whose timing and baseline timing are both in the
+        store (:meth:`ArtifactPipeline.is_warm`) gets no job: it is read
+        back in process.
+        """
         graph = JobGraph()
+        warm: dict[str, Callable[[], Any]] = {}
         leaf_ids: list[str] = []
         for spec in specs:
-            deps = self._add_artifact_jobs(graph, spec)
             leaf_id = f"experiment:{spec.token()}"
+            leaf_ids.append(leaf_id)
+            if self.pipeline.is_warm(spec.workload, spec.scale,
+                                     spec.selection, spec.validate,
+                                     spec.machine):
+                warm[leaf_id] = partial(self.pipeline.run, spec)
+                continue
+            deps = self._add_artifact_jobs(graph, spec)
             graph.add(Job(
                 job_id=leaf_id, kind="experiment",
                 payload=spec_payload(spec, self._cache_dir),
                 deps=deps,
                 timeout=self.config.job_timeout, retries=self.config.retries,
             ))
-            leaf_ids.append(leaf_id)
-        results = self._execute(graph)
-        return [results[leaf].value["value"] for leaf in leaf_ids]
+        values = self._execute(graph, warm)
+        return [values[leaf] for leaf in leaf_ids]
 
     def run(self, spec: ExperimentSpec) -> ExperimentResult:
         return self.run_batch([spec])[0]
 
     def run_explore_points(
-        self, requests: list[dict]
+        self, requests: list[dict], warm_ids: Collection[str] = ()
     ) -> list[ExperimentResult]:
         """Execute design-space points for :mod:`repro.explore`.
 
         Each request is a dict with keys ``workload``, ``scale``,
         ``algorithm``, ``select_pfus``, ``validate``, ``machine`` (a
         :class:`~repro.sim.ooo.MachineConfig`), and ``id`` (a short
-        token used for job naming).  Baseline denominators are
-        deduplicated into one explicit job per (workload, scale, core
-        geometry), so parallel points never race on the same baseline
-        replay; results come back in request order.
+        token used for job naming).  A request whose ``id`` is in
+        ``warm_ids`` (the caller found it :meth:`ArtifactPipeline.is_warm`)
+        gets no job: it is read back in process, and anything evicted
+        since is computed there.  Baseline denominators of the others
+        are deduplicated into one explicit job per (workload, scale,
+        core geometry), so parallel points never race on the same
+        baseline replay; results come back in request order.
         """
         graph = JobGraph()
+        warm: dict[str, Callable[[], Any]] = {}
         leaf_ids: list[str] = []
         base_ids: dict[tuple, str] = {}
         for req in requests:
             machine = req["machine"]
             workload, scale = req["workload"], req["scale"]
             algorithm = req["algorithm"]
+            if req["id"] in warm_ids:
+                leaf_id = f"warm:{req['id']}"
+                leaf_ids.append(leaf_id)
+                warm[leaf_id] = partial(
+                    self.pipeline.explore_point, workload, scale,
+                    requested_selection(algorithm, req["select_pfus"]),
+                    req["validate"], machine,
+                )
+                continue
             profile_deps: tuple[str, ...] = ()
             if self.store is not None:
                 profile_id = f"profile:{workload}@{scale}"
@@ -336,8 +384,8 @@ class ExperimentEngine:
                 retries=self.config.retries,
             ))
             leaf_ids.append(leaf_id)
-        results = self._execute(graph)
-        return [results[leaf].value["value"] for leaf in leaf_ids]
+        values = self._execute(graph, warm)
+        return [values[leaf] for leaf in leaf_ids]
 
     def select_batch(
         self, requests: list[tuple[str, int, str, int | None]]
@@ -371,11 +419,8 @@ class ExperimentEngine:
                 timeout=self.config.job_timeout, retries=self.config.retries,
             ))
             leaf_ids.append(leaf_id)
-        results = self._execute(graph)
-        return [
-            selection_from_payload(results[leaf].value["value"])
-            for leaf in leaf_ids
-        ]
+        values = self._execute(graph)
+        return [selection_from_payload(values[leaf]) for leaf in leaf_ids]
 
     def report(self) -> str:
         """Per-run telemetry summary (jobs, cache traffic, simulations)."""

@@ -19,6 +19,7 @@ dispatches one job payload against a per-process pipeline.
 
 from __future__ import annotations
 
+import functools
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
@@ -67,6 +68,7 @@ from repro.workloads import Workload, build_workload
 BASELINE_MACHINE = MachineConfig()
 
 
+@functools.lru_cache(maxsize=256)
 def core_machine(machine: MachineConfig) -> MachineConfig:
     """The machine a baseline run for ``machine`` is measured on.
 
@@ -76,7 +78,8 @@ def core_machine(machine: MachineConfig) -> MachineConfig:
     reconfiguration latency) point that shares the same core geometry.
     For the default core this is exactly :data:`BASELINE_MACHINE`, so
     design-space sweeps share baseline artefacts with the figure
-    drivers.
+    drivers.  Memoized by value (every warm check asks for it, and
+    ``dataclasses.replace`` is not cheap).
     """
     defaults = MachineConfig()
     return replace(
@@ -147,6 +150,16 @@ class ExperimentSpec:
     @property
     def selection(self) -> SelectionParams | None:
         return requested_selection(self.algorithm, self.select_pfus)
+
+    @property
+    def machine(self) -> MachineConfig:
+        """The machine the spec is timed on: its PFU count and
+        reconfiguration latency on the default core."""
+        if self.algorithm == BASELINE:
+            return BASELINE_MACHINE
+        return MachineConfig(
+            n_pfus=self.n_pfus, reconfig_latency=self.reconfig_latency
+        )
 
 
 def make_spec(
@@ -262,7 +275,12 @@ class ArtifactPipeline:
     # cheap, rebuild-per-process stages
 
     def workload(self, name: str, scale: int) -> Workload:
-        """The built workload (memo only; assembling is cheap)."""
+        """The built workload (memo only).
+
+        Building is not free (``mpeg2_decode``@1 assembles in about
+        6-8 ms, ``gsm_encode``@1 in 2-4 ms), and every fresh pipeline,
+        hence every fresh store-backed engine, pays it once per workload
+        to fingerprint the program, warm sweeps included."""
         return self._memoized(
             ("workload", name, scale), lambda: build_workload(name, scale)
         )
@@ -453,6 +471,29 @@ class ArtifactPipeline:
     # ------------------------------------------------------------------
     # whole experiments
 
+    def is_warm(
+        self,
+        name: str,
+        scale: int,
+        params: SelectionParams | None,
+        validate: bool,
+        machine: MachineConfig,
+    ) -> bool:
+        """Whether the store holds both timings :meth:`explore_point`
+        answers from: the point's own and its baseline's.  Such a point
+        reads those two and its selection, never a profile, rewrite or
+        trace.  A storeless pipeline holds nothing warm."""
+        if self.store is None:
+            return False
+        fingerprint = self.fingerprint(name, scale)
+        keys = [timing_key(name, scale, fingerprint,
+                           machine_fingerprint(core_machine(machine)))]
+        if params is not None:
+            keys.append(timing_key(name, scale, fingerprint,
+                                   machine_fingerprint(machine), params,
+                                   validate))
+        return all(self.store.contains(key) for key in keys)
+
     def explore_point(
         self,
         name: str,
@@ -488,12 +529,9 @@ class ArtifactPipeline:
         """Run one T1000 experiment end to end (cached at every stage):
         the spec's PFU count and reconfiguration latency on the default
         core."""
-        params = spec.selection
-        machine = BASELINE_MACHINE if params is None else MachineConfig(
-            n_pfus=spec.n_pfus, reconfig_latency=spec.reconfig_latency
-        )
         return self.explore_point(
-            spec.workload, spec.scale, params, spec.validate, machine
+            spec.workload, spec.scale, spec.selection, spec.validate,
+            spec.machine,
         )
 
     def flush(self) -> None:

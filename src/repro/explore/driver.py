@@ -2,10 +2,11 @@
 
 :func:`run_sweep` is the one entry point.  It expands a
 :class:`~repro.explore.spec.SweepSpec`, classifies points as *warm*
-(their timing artefact already sits in the engine store — never
-re-simulated, which is also what makes a crashed sweep resumable with
-zero repeated work), plans dominated-point pruning, executes the
-remaining cold points — in-process through the
+(their timing and baseline timing already sit in the engine store —
+read back in process with no job, never re-simulated, which is also
+what makes a crashed sweep resumable with zero repeated work), plans
+dominated-point pruning, executes the remaining cold points — in-process
+through the
 :class:`~repro.engine.ExperimentEngine` job graph, or across a
 :mod:`repro.serve` fleet when given a
 :class:`~repro.serve.client.ServeClient` — and assembles
@@ -23,7 +24,6 @@ from typing import Any
 
 from repro.engine import ExperimentEngine, default_engine, machine_fingerprint
 from repro.engine.pipeline import core_machine
-from repro.engine.store import timing_key
 from repro.explore.pareto import ParetoReport, PointResult
 from repro.explore.prune import PrunePlan, SkipRecord
 from repro.explore.prune import plan as prune_plan
@@ -73,20 +73,17 @@ class SweepOutcome:
 def warm_point_ids(
     engine: ExperimentEngine, points: list[SweepPoint]
 ) -> set[str]:
-    """Points whose timing artefact is already in the engine store.
+    """Points whose timing and baseline timing are already in the engine
+    store (:meth:`~repro.engine.ArtifactPipeline.is_warm`).
 
     Storeless engines report nothing warm (in-process memo hits still
     avoid recomputation, but cannot be known before running).
     """
-    if engine.store is None:
-        return set()
     return {
         point.point_id for point in points
-        if engine.store.contains(timing_key(
-            point.workload, point.scale,
-            engine.pipeline.fingerprint(point.workload, point.scale),
-            point.machine_fp, point.selection, point.validate,
-        ))
+        if engine.pipeline.is_warm(point.workload, point.scale,
+                                   point.selection, point.validate,
+                                   point.machine)
     }
 
 
@@ -96,8 +93,9 @@ def warm_point_ids(
 
 
 def _run_points_engine(
-    engine: ExperimentEngine, points: list[SweepPoint]
+    engine: ExperimentEngine, points: list[SweepPoint], warm_ids: set[str]
 ) -> tuple[dict[str, tuple[int, int, int]], dict[tuple, int]]:
+    """Warm points are read back in process; only cold ones get jobs."""
     requests = [
         {
             "id": point.point_id,
@@ -110,7 +108,7 @@ def _run_points_engine(
         }
         for point in points
     ]
-    results = engine.run_explore_points(requests)
+    results = engine.run_explore_points(requests, warm_ids)
     measured = {
         point.point_id: (
             result.stats.cycles, result.baseline_cycles, result.n_configs
@@ -270,7 +268,9 @@ def run_sweep(
             if client is not None:
                 measured, areas = _run_points_serve(client, plan.simulate)
             else:
-                measured, areas = _run_points_engine(engine, plan.simulate)
+                measured, areas = _run_points_engine(
+                    engine, plan.simulate, warm_ids
+                )
 
         results: list[PointResult] = []
         speedups: dict[str, float] = {}

@@ -36,6 +36,7 @@ ignores it.  ``mode`` is ``"grid"`` (cartesian product, the default) or
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -114,11 +115,12 @@ class SweepPoint:
     def machine_fp(self) -> str:
         return machine_fingerprint(self.machine)
 
-    @property
+    @functools.cached_property
     def point_id(self) -> str:
         """Short content digest: the timing key's inputs minus the
         program fingerprint (which is a pure function of workload and
-        scale), so ids are computable from the spec alone."""
+        scale), so ids are computable from the spec alone.  Cached: a
+        sweep reads it several times per point."""
         blob = json.dumps(
             [self.workload, self.scale, self.algorithm, self.select_pfus,
              self.validate, self.machine_fp],

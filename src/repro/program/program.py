@@ -86,7 +86,19 @@ class Program:
         - label indices are within ``[0, len(text)]``;
         - register numbers are in range;
         - the program contains at least one ``halt``.
+
+        A pass is remembered on the instance with a copy of the text and
+        labels it checked, so validating an unchanged program again (the
+        assembler, the rewriter and every simulator construction each
+        validate) costs a comparison, not a walk of the text.
         """
+        checked = (tuple(self.text), dict(self.labels))
+        if self.__dict__.get("_validated") == checked:
+            return
+        self._check_invariants()
+        self._validated = checked
+
+    def _check_invariants(self) -> None:
         n = len(self.text)
         for label, idx in self.labels.items():
             if not 0 <= idx <= n:

@@ -1,7 +1,10 @@
 """Tests for assembler line parsing."""
 
+import struct
+
 import pytest
 
+from repro.asm import assemble
 from repro.asm.parser import (
     parse_int,
     parse_line,
@@ -106,3 +109,49 @@ class TestSplitOperands:
 
     def test_trimming(self):
         assert split_operands(" a ,  b ,c") == ["a", "b", "c"]
+
+
+def data_of(directive: str) -> bytes:
+    return assemble(f".data\nd: {directive}\n.text\nmain: halt").data
+
+
+class TestIntDirectives:
+    """``.word``/``.half``/``.byte`` lines: decimal lines take one packed
+    conversion, anything else the per-operand parser; both give the
+    same bytes and the same errors."""
+
+    def test_decimal_line(self):
+        assert data_of(".word 1, -2, 3") == struct.pack("<3i", 1, -2, 3)
+        assert data_of(".half 7, -1") == struct.pack("<2h", 7, -1)
+        assert data_of(".byte 1, 255, -128") == bytes([1, 255, 128])
+
+    def test_hex_negative_and_char_literals(self):
+        assert data_of(".word 0x10, -0x10, 'A', 0b101, -7") == struct.pack(
+            "<5i", 16, -16, 65, 5, -7)
+        assert data_of(".byte 'a', 0xff, -1") == bytes([97, 255, 255])
+        assert data_of(".half 0x8000, -0x8000") == bytes(
+            [0, 0x80, 0, 0x80])
+
+    def test_wrap_at_the_signed_and_unsigned_limits(self):
+        wrapped = struct.pack("<4i", 2**31 - 1, -(2**31), -(2**31), -1)
+        assert data_of(".word 2147483647, 2147483648, -2147483648, "
+                       "4294967295") == wrapped
+        assert data_of(".word 0x7fffffff, 0x80000000, -0x80000000, "
+                       "0xffffffff") == wrapped
+        assert data_of(".half 65535, 32768") == bytes([255, 255, 0, 128])
+
+    @pytest.mark.parametrize("directive, message", [
+        (".word 1, 4294967296, 2", ".word value 4294967296 out of range"),
+        (".word 1, -2147483649", ".word value -2147483649 out of range"),
+        (".half 3, 65536", ".half value 65536 out of range"),
+        (".byte -129, 1", ".byte value -129 out of range"),
+        (".word 1, 2x, 3", "bad integer literal '2x'"),
+        (".word 1, , 3", "bad integer literal ''"),
+        (".byte 1, 300, zz", ".byte value 300 out of range"),
+        (".byte 1, zz, 300", "bad integer literal 'zz'"),
+    ])
+    def test_bad_operand_mid_line(self, directive, message):
+        with pytest.raises(AssemblerError) as err:
+            data_of(directive)
+        assert str(err.value) == f"line 2: {message}"
+        assert err.value.line == 2

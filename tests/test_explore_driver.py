@@ -114,6 +114,121 @@ class TestDriver:
         assert outcome.state_path is None
 
 
+def rows(outcome) -> dict[str, dict]:
+    """Point results by id, without the cold/warm status."""
+    out = {}
+    for result in outcome.results:
+        row = result.to_json()
+        del row["status"]
+        out[result.point_id] = row
+    return out
+
+
+@pytest.fixture
+def store_gets(monkeypatch):
+    """Every key an :class:`ArtifactStore` is asked for, and the size
+    of every job graph a :class:`Scheduler` runs."""
+    from repro.engine import ArtifactStore, Scheduler
+
+    log = {"gets": [], "jobs": []}
+    real_get, real_run = ArtifactStore.get, Scheduler.run
+
+    def get(self, key):
+        log["gets"].append(key)
+        return real_get(self, key)
+
+    def run(self, graph, runner):
+        log["jobs"].append(len(graph))
+        return real_run(self, graph, runner)
+
+    monkeypatch.setattr(ArtifactStore, "get", get)
+    monkeypatch.setattr(Scheduler, "run", run)
+    return log
+
+
+class TestWarmPath:
+    """A warm point is read back in process: no scheduler job, and no
+    store read beyond its timings and its selection (call counts, no
+    timing)."""
+
+    def test_fully_warm_sweep_runs_no_job_and_reads_answers_only(
+        self, tmp_path, store_gets
+    ):
+        spec = small_spec(workloads=["gsm_encode", "epic"])
+        cold = run_sweep(spec, engine_for(tmp_path))
+        store_gets["gets"].clear()
+        store_gets["jobs"].clear()
+        warm = run_sweep(spec, engine_for(tmp_path))
+        assert warm.n_simulated == 0 and warm.n_warm == cold.n_simulated
+        assert sum(store_gets["jobs"]) == 0
+        kinds = {key.kind for key in store_gets["gets"]}
+        assert kinds == {"timing", "selection"}
+        assert rows(warm) == rows(cold)
+
+    def test_resumed_sweep_loads_only_cold_selections(
+        self, tmp_path, store_gets
+    ):
+        partial = SweepSpec.from_json({
+            **small_spec().to_json(),
+            "axes": {**small_spec().to_json()["axes"], "n_pfus": [1]},
+        })
+        run_sweep(partial, engine_for(tmp_path))
+        store_gets["gets"].clear()
+        resumed = run_sweep(small_spec(), engine_for(tmp_path))
+        cold = {
+            (r.algorithm, r.select_pfus)
+            for r in resumed.results if r.status == "simulated"
+        }
+        assert resumed.n_warm == 2 and cold == {("selective", 2)}
+        loaded = [
+            key for key in store_gets["gets"]
+            if key.kind in ("trace", "rewrite")
+        ]
+        assert {key.kind for key in loaded} == {"trace", "rewrite"}
+        for key in loaded:
+            params = dict(key.params)
+            assert (params["algorithm"], params.get("select_pfus")) in cold
+
+    def test_parallel_warm_sweep_matches_serial(self, tmp_path, store_gets):
+        spec = small_spec()
+        run_sweep(spec, engine_for(tmp_path))
+        serial = run_sweep(spec, engine_for(tmp_path))
+        store_gets["jobs"].clear()
+        parallel = run_sweep(spec, engine_for(tmp_path, jobs=2))
+        assert parallel.n_simulated == 0
+        assert sum(store_gets["jobs"]) == 0
+        assert rows(parallel) == rows(serial)
+
+    def test_warm_batch_runs_no_job(self, tmp_path, store_gets):
+        specs = [make_spec("gsm_encode", "selective", 2, 10),
+                 make_spec("gsm_encode", "baseline", None, 0)]
+        cold = engine_for(tmp_path).run_batch(specs)
+        store_gets["gets"].clear()
+        store_gets["jobs"].clear()
+        warm = engine_for(tmp_path).run_batch(specs)
+        assert sum(store_gets["jobs"]) == 0
+        assert {key.kind for key in store_gets["gets"]} == {
+            "timing", "selection"
+        }
+        assert [(r.stats, r.baseline_cycles, r.n_configs) for r in warm] == [
+            (r.stats, r.baseline_cycles, r.n_configs) for r in cold
+        ]
+
+    def test_evicted_selection_is_recomputed_in_process(self, tmp_path):
+        spec = small_spec()
+        cold = run_sweep(spec, engine_for(tmp_path))
+        # gc took the selections but left every timing: the points stay
+        # warm, and their n_configs come from a selection made inline
+        for path in (tmp_path / "cache" / "objects").glob("*/selection-*"):
+            path.unlink()
+        engine = engine_for(tmp_path)
+        again = run_sweep(spec, engine)
+        assert again.n_warm == cold.n_simulated
+        assert engine.telemetry.total("compute.selection") > 0
+        assert engine.telemetry.total("sim") == 0
+        assert rows(again) == rows(cold)
+
+
 class TestFig6Regime:
     """The paper's hard regime through the new subsystem, byte-for-byte
     against the existing figures drivers on one shared cache."""

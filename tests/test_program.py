@@ -1,5 +1,7 @@
 """Tests for the Program container."""
 
+import pickle
+
 import pytest
 
 from repro.asm import assemble
@@ -8,6 +10,7 @@ from repro.isa.encoding import TEXT_BASE
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.program.program import Program
+from repro.sim.functional import FunctionalSimulator
 
 
 def small_program() -> Program:
@@ -82,6 +85,56 @@ class TestValidation:
         p = Program(text=[Instruction(Opcode.HALT)], labels={"x": 9})
         with pytest.raises(InvalidProgramError):
             p.validate()
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Programs whose invariants were actually walked."""
+    walked = []
+    real = Program._check_invariants
+
+    def counting(self):
+        walked.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Program, "_check_invariants", counting)
+    return walked
+
+
+class TestValidateOnce:
+    def test_second_simulator_does_not_revalidate(self, checks):
+        p = small_program()
+        FunctionalSimulator(p)
+        FunctionalSimulator(p)
+        # the assembler's own validation covered both simulators
+        assert checks == [p]
+        q = Program(text=list(p.text), labels=dict(p.labels))
+        FunctionalSimulator(q)
+        FunctionalSimulator(q).run()
+        assert checks == [p, q]
+
+    def test_invalid_program_raises_at_every_construction(self, checks):
+        p = Program(text=[Instruction(Opcode.NOP)], labels={})
+        for _ in range(2):
+            with pytest.raises(InvalidProgramError, match="halt"):
+                FunctionalSimulator(p)
+        assert checks == [p, p]
+
+    def test_a_changed_program_is_checked_again(self, checks):
+        p = small_program()
+        p.text.append(Instruction(Opcode.J, target="nowhere"))
+        with pytest.raises(InvalidProgramError, match="undefined"):
+            FunctionalSimulator(p)
+        p.text.pop()
+        p.labels["main"] = 99
+        with pytest.raises(InvalidProgramError, match="bad index"):
+            p.validate()
+        assert len(checks) == 3
+
+    def test_pass_is_not_pickled(self):
+        p = small_program()
+        p.validate()
+        assert "_validated" not in pickle.loads(pickle.dumps(p)).__dict__
 
 
 class TestRendering:
