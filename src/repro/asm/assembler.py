@@ -87,48 +87,44 @@ def _layout_data(lines: list[SourceLine]) -> tuple[bytearray, dict[str, int]]:
             if mn == ".asciiz":
                 data.append(0)
         else:
-            size, pack = _INT_DIRECTIVES[mn]
-            _align(data, size)
+            _align(data, _INT_DIRECTIVES[mn][0])
             _reattach_labels(line, data, symbols)
-            data.extend(_pack_ints(mn, size, pack, line))
+            data.extend(_int_bytes(mn, line))
     return data, symbols
 
 
-#: integer directive -> (size in bytes, one operand's signed struct code)
-_INT_DIRECTIVES = {".word": (4, "<i"), ".half": (2, "<h"), ".byte": (1, "<b")}
+#: integer directive -> (size in bytes, unsigned struct code)
+_INT_DIRECTIVES = {".word": (4, "I"), ".half": (2, "H"), ".byte": (1, "B")}
 
 
-def _pack_ints(mn: str, size: int, pack: str, line: SourceLine) -> bytes:
-    """The bytes of an integer directive's operands.
+def _int_bytes(mn: str, line: SourceLine) -> bytes:
+    """The bytes of an integer directive's operands, each signed or
+    unsigned (``-1`` and ``0xffffffff`` are the same word).
 
-    A value may be signed or unsigned (``-1`` and ``0xffffffff`` are the
-    same word).  A line of decimal literals in range, which is what
-    :class:`~repro.asm.builder.AsmBuilder` emits, is converted with
-    ``int`` and packed in one call; ``int`` accepts exactly the decimal
-    literals :func:`parse_int` does.  Any other line, and any failure,
-    takes the per-operand loop, which raises the same error it always
-    has.
+    A line of in-range decimal literals, which is what
+    :class:`~repro.asm.builder.AsmBuilder` emits, converts with ``int``
+    alone (it accepts exactly the decimal literals :func:`parse_int`
+    does).  Any other line goes operand by operand through
+    :func:`parse_int`, so the first bad operand raises its own error.
     """
+    size, code = _INT_DIRECTIVES[mn]
     lo, hi = -(1 << (8 * size - 1)), 1 << (8 * size)
     try:
         values = [int(operand) for operand in line.operands]
-        if values and lo <= min(values) and max(values) < hi:
-            mask = hi - 1
-            return struct.pack(f"<{len(values)}{pack[1].upper()}",
-                               *[value & mask for value in values])
+        in_range = not values or lo <= min(values) and max(values) < hi
     except ValueError:
-        pass
-    out = bytearray()
-    for operand in line.operands:
-        value = parse_int(operand, line.lineno)
-        if not lo <= value < hi:
-            raise AssemblerError(
-                f"{mn} value {value} out of range", line.lineno
-            )
-        if value >= 1 << (8 * size - 1):
-            value -= 1 << (8 * size)
-        out += struct.pack(pack, value)
-    return bytes(out)
+        in_range = False
+    if not in_range:
+        values = []
+        for operand in line.operands:
+            value = parse_int(operand, line.lineno)
+            if not lo <= value < hi:
+                raise AssemblerError(
+                    f"{mn} value {value} out of range", line.lineno
+                )
+            values.append(value)
+    return struct.pack(f"<{len(values)}{code}",
+                       *[value & (hi - 1) for value in values])
 
 
 def _align(data: bytearray, boundary: int) -> None:
