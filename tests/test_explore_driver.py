@@ -125,7 +125,7 @@ def rows(outcome) -> dict[str, dict]:
 
 
 @pytest.fixture
-def store_gets(monkeypatch):
+def engine_calls(monkeypatch):
     """Every key an :class:`ArtifactStore` is asked for, and the size
     of every job graph a :class:`Scheduler` runs."""
     from repro.engine import ArtifactStore, Scheduler
@@ -152,28 +152,28 @@ class TestWarmPath:
     timing)."""
 
     def test_fully_warm_sweep_runs_no_job_and_reads_answers_only(
-        self, tmp_path, store_gets
+        self, tmp_path, engine_calls
     ):
         spec = small_spec(workloads=["gsm_encode", "epic"])
         cold = run_sweep(spec, engine_for(tmp_path))
-        store_gets["gets"].clear()
-        store_gets["jobs"].clear()
+        engine_calls["gets"].clear()
+        engine_calls["jobs"].clear()
         warm = run_sweep(spec, engine_for(tmp_path))
         assert warm.n_simulated == 0 and warm.n_warm == cold.n_simulated
-        assert sum(store_gets["jobs"]) == 0
-        kinds = {key.kind for key in store_gets["gets"]}
+        assert sum(engine_calls["jobs"]) == 0
+        kinds = {key.kind for key in engine_calls["gets"]}
         assert kinds == {"timing", "selection"}
         assert rows(warm) == rows(cold)
 
     def test_resumed_sweep_loads_only_cold_selections(
-        self, tmp_path, store_gets
+        self, tmp_path, engine_calls
     ):
         partial = SweepSpec.from_json({
             **small_spec().to_json(),
             "axes": {**small_spec().to_json()["axes"], "n_pfus": [1]},
         })
         run_sweep(partial, engine_for(tmp_path))
-        store_gets["gets"].clear()
+        engine_calls["gets"].clear()
         resumed = run_sweep(small_spec(), engine_for(tmp_path))
         cold = {
             (r.algorithm, r.select_pfus)
@@ -181,7 +181,7 @@ class TestWarmPath:
         }
         assert resumed.n_warm == 2 and cold == {("selective", 2)}
         loaded = [
-            key for key in store_gets["gets"]
+            key for key in engine_calls["gets"]
             if key.kind in ("trace", "rewrite")
         ]
         assert {key.kind for key in loaded} == {"trace", "rewrite"}
@@ -189,25 +189,25 @@ class TestWarmPath:
             params = dict(key.params)
             assert (params["algorithm"], params.get("select_pfus")) in cold
 
-    def test_parallel_warm_sweep_matches_serial(self, tmp_path, store_gets):
+    def test_parallel_warm_sweep_matches_serial(self, tmp_path, engine_calls):
         spec = small_spec()
         run_sweep(spec, engine_for(tmp_path))
         serial = run_sweep(spec, engine_for(tmp_path))
-        store_gets["jobs"].clear()
+        engine_calls["jobs"].clear()
         parallel = run_sweep(spec, engine_for(tmp_path, jobs=2))
         assert parallel.n_simulated == 0
-        assert sum(store_gets["jobs"]) == 0
+        assert sum(engine_calls["jobs"]) == 0
         assert rows(parallel) == rows(serial)
 
-    def test_warm_batch_runs_no_job(self, tmp_path, store_gets):
+    def test_warm_batch_runs_no_job(self, tmp_path, engine_calls):
         specs = [make_spec("gsm_encode", "selective", 2, 10),
                  make_spec("gsm_encode", "baseline", None, 0)]
         cold = engine_for(tmp_path).run_batch(specs)
-        store_gets["gets"].clear()
-        store_gets["jobs"].clear()
+        engine_calls["gets"].clear()
+        engine_calls["jobs"].clear()
         warm = engine_for(tmp_path).run_batch(specs)
-        assert sum(store_gets["jobs"]) == 0
-        assert {key.kind for key in store_gets["gets"]} == {
+        assert sum(engine_calls["jobs"]) == 0
+        assert {key.kind for key in engine_calls["gets"]} == {
             "timing", "selection"
         }
         assert [(r.stats, r.baseline_cycles, r.n_configs) for r in warm] == [
