@@ -298,10 +298,11 @@ def _measure_explore_warm() -> dict:
     fresh engine on the same store, as ``explore resume`` does.
 
     The entry keeps the median of the warm runs and the store gets of
-    one of them by artefact kind (deterministic: a warm point reads its
-    timings and its selection, nothing else) plus the scheduler jobs it
-    ran. Recording aborts unless every warm run simulates nothing and
-    reports the cold run's rows.
+    one of them by artefact kind (deterministic: a warm sweep reads each
+    workload's program fingerprint, and a warm point its timings and its
+    selection, nothing else) plus the scheduler jobs it ran and the
+    workloads it built. Recording aborts unless every warm run simulates
+    nothing and reports the cold run's rows.
     """
     import gc
     from collections import Counter
@@ -309,6 +310,7 @@ def _measure_explore_warm() -> dict:
     from repro.engine import (
         ArtifactStore, EngineConfig, ExperimentEngine, Scheduler,
     )
+    from repro.engine import pipeline as pipeline_module
     from repro.explore import SweepSpec, run_sweep
 
     spec = SweepSpec.from_json({
@@ -327,8 +329,9 @@ def _measure_explore_warm() -> dict:
         return [{**r.to_json(), "status": None} for r in outcome.results]
 
     gets: Counter = Counter()
-    jobs = []
+    jobs, builds = [], []
     real_get, real_run = ArtifactStore.get, Scheduler.run
+    real_build = pipeline_module.build_workload
 
     def counting_get(self, key):
         gets[key.kind] += 1
@@ -338,6 +341,10 @@ def _measure_explore_warm() -> dict:
         jobs.append(len(graph))
         return real_run(self, graph, runner)
 
+    def counting_build(name, scale=1):
+        builds.append((name, scale))
+        return real_build(name, scale)
+
     with tempfile.TemporaryDirectory() as cache_dir:
         def sweep():
             engine = ExperimentEngine(EngineConfig(jobs=1,
@@ -346,10 +353,12 @@ def _measure_explore_warm() -> dict:
 
         cold = sweep()
         ArtifactStore.get, Scheduler.run = counting_get, counting_run
+        pipeline_module.build_workload = counting_build
         try:
             warm = sweep()
         finally:
             ArtifactStore.get, Scheduler.run = real_get, real_run
+            pipeline_module.build_workload = real_build
         times = []
         for _ in range(7):
             gc.collect()
@@ -368,6 +377,7 @@ def _measure_explore_warm() -> dict:
             "warm_points": warm.n_warm,
             "store_gets": dict(sorted(gets.items())),
             "scheduler_jobs": sum(jobs),
+            "workload_builds": len(builds),
         },
     }
 

@@ -58,6 +58,8 @@ from repro.engine.store import (
     ArtifactKey,
     ArtifactStore,
     StoreStats,
+    build_source_digest,
+    fingerprint_key,
     machine_fingerprint,
     machine_from_json,
     machine_to_json,
@@ -83,8 +85,9 @@ __all__ = [
     "EngineError", "ExperimentEngine", "ExperimentResult", "ExperimentSpec",
     "Job", "JobGraph", "JobRecord", "JobResult", "JobTimeoutError",
     "SCHEMA_VERSION", "SERVE_SCALE", "Scheduler", "SchedulerError",
-    "StoreStats", "Telemetry", "TransientJobError", "core_machine",
-    "default_engine", "execute_job", "get_default_pipeline",
+    "StoreStats", "Telemetry", "TransientJobError", "build_source_digest",
+    "core_machine", "default_engine", "execute_job", "fingerprint_key",
+    "get_default_pipeline",
     "machine_fingerprint", "machine_from_json", "machine_to_json",
     "make_key", "make_spec", "profile_key", "program_fingerprint",
     "read_json", "rewrite_key", "selection_key", "stats_from_json",
@@ -260,12 +263,13 @@ class ExperimentEngine:
         graph = JobGraph()
         warm: dict[str, Callable[[], Any]] = {}
         leaf_ids: list[str] = []
+        held: dict = {}
         for spec in specs:
             leaf_id = f"experiment:{spec.token()}"
             leaf_ids.append(leaf_id)
             if self.pipeline.is_warm(spec.workload, spec.scale,
                                      spec.selection, spec.validate,
-                                     spec.machine):
+                                     spec.machine, held):
                 warm[leaf_id] = partial(self.pipeline.run, spec)
                 continue
             deps = self._add_artifact_jobs(graph, spec)
@@ -283,8 +287,10 @@ class ExperimentEngine:
 
     def run_explore_points(
         self, requests: list[dict], warm_ids: Collection[str] = ()
-    ) -> list[ExperimentResult]:
-        """Execute design-space points for :mod:`repro.explore`.
+    ) -> list[tuple[ExperimentResult, int]]:
+        """Execute design-space points for :mod:`repro.explore`: each
+        point's result and its selection's LUT area
+        (:meth:`ArtifactPipeline.explore_point`).
 
         Each request is a dict with keys ``workload``, ``scale``,
         ``algorithm``, ``select_pfus``, ``validate``, ``machine`` (a

@@ -28,6 +28,8 @@ from typing import Any, Callable
 from repro.engine.store import (
     ArtifactKey,
     ArtifactStore,
+    build_source_digest,
+    fingerprint_key,
     machine_fingerprint,
     machine_from_json,
     profile_key,
@@ -55,8 +57,8 @@ from repro.extinst.registry import (
     normalize_select_pfus,
     selection_cache_extras,
 )
-from repro.obs import get_recorder
 from repro.extinst.serialize import selection_from_json, selection_to_json
+from repro.obs import get_recorder
 from repro.profiling import ProgramProfile, profile_program
 from repro.program.program import Program
 from repro.sim.functional import ExecutionResult, FunctionalSimulator
@@ -251,20 +253,20 @@ class ArtifactPipeline:
             self._memo[memo_key] = producer()
         return self._memo[memo_key]
 
+    def _fetch(self, key: ArtifactKey, compute: Callable[[], Any]) -> Any:
+        """Store -> compute-and-publish (compute alone without a store)."""
+        if self.store is None:
+            return compute()
+        cached = self.store.get(key)
+        if cached is not None:
+            return cached
+        value = compute()
+        self.store.put(key, value)
+        return value
+
     def _artifact(self, key: ArtifactKey, compute: Callable[[], Any]) -> Any:
         """Memo -> store -> compute-and-publish, in that order."""
-
-        def produce() -> Any:
-            if self.store is None:
-                return compute()
-            cached = self.store.get(key)
-            if cached is not None:
-                return cached
-            value = compute()
-            self.store.put(key, value)
-            return value
-
-        return self._memoized(key, produce)
+        return self._memoized(key, lambda: self._fetch(key, compute))
 
     def _sim_counter(self, name: str) -> None:
         self.telemetry.incr(name)
@@ -272,15 +274,16 @@ class ArtifactPipeline:
             self.store.record_counter(name)
 
     # ------------------------------------------------------------------
-    # cheap, rebuild-per-process stages
+    # the built program and its identity
 
     def workload(self, name: str, scale: int) -> Workload:
         """The built workload (memo only).
 
         Building is not free (``mpeg2_decode``@1 assembles in about
-        6-8 ms, ``gsm_encode``@1 in 2-4 ms), and every fresh pipeline,
-        hence every fresh store-backed engine, pays it once per workload
-        to fingerprint the program, warm sweeps included."""
+        6-8 ms, ``gsm_encode``@1 in 2-4 ms), so only a stage that runs
+        or rewrites the program builds it: with a store, a warm sweep
+        reads every key's program fingerprint (:meth:`fingerprint`) and
+        builds nothing."""
         return self._memoized(
             ("workload", name, scale), lambda: build_workload(name, scale)
         )
@@ -289,10 +292,24 @@ class ArtifactPipeline:
         return self.workload(name, scale).program
 
     def fingerprint(self, name: str, scale: int) -> str:
-        return self._memoized(
-            ("fingerprint", name, scale),
-            lambda: program_fingerprint(self.program(name, scale)),
-        )
+        """The program fingerprint every key of ``name`` carries: memo ->
+        store -> build, like any stage.  The store keys it by
+        :func:`~repro.engine.store.build_source_digest`, so editing a
+        build source costs one rebuild per workload, and every other key
+        moves only if the built program did.  A storeless pipeline
+        builds, and never computes that digest."""
+
+        def compute() -> str:
+            return program_fingerprint(self.program(name, scale))
+
+        def produce() -> str:
+            if self.store is None:
+                return compute()
+            return self._fetch(
+                fingerprint_key(name, scale, build_source_digest()), compute
+            )
+
+        return self._memoized(("fingerprint", name, scale), produce)
 
     def original_run(self, name: str, scale: int) -> ExecutionResult:
         """The original program's traced functional run (memo only).
@@ -463,10 +480,24 @@ class ArtifactPipeline:
                 ).simulate(trace)
 
         return self._artifact(
-            timing_key(name, scale, self.fingerprint(name, scale),
-                       machine_fingerprint(machine), params, validate),
-            compute,
+            self._timing_key(name, scale, params, validate, machine), compute
         )
+
+    def _timing_key(
+        self,
+        name: str,
+        scale: int,
+        params: SelectionParams | None,
+        validate: bool,
+        machine: MachineConfig,
+    ) -> ArtifactKey:
+        """The key :meth:`timing_for` reads and :meth:`is_warm` checks,
+        built from the same arguments by both, so the memoized
+        :func:`~repro.engine.store.timing_key` hands both one instance."""
+        if params is None:
+            machine, validate = core_machine(machine), True
+        return timing_key(name, scale, self.fingerprint(name, scale),
+                          machine_fingerprint(machine), params, validate)
 
     # ------------------------------------------------------------------
     # whole experiments
@@ -478,21 +509,30 @@ class ArtifactPipeline:
         params: SelectionParams | None,
         validate: bool,
         machine: MachineConfig,
+        held: dict[ArtifactKey, bool] | None = None,
     ) -> bool:
         """Whether the store holds both timings :meth:`explore_point`
         answers from: the point's own and its baseline's.  Such a point
         reads those two and its selection, never a profile, rewrite or
-        trace.  A storeless pipeline holds nothing warm."""
+        trace.  A storeless pipeline holds nothing warm.
+
+        ``held`` remembers each key's answer across the calls of one
+        warm check, so points that share a baseline ask the store for
+        it once."""
         if self.store is None:
             return False
-        fingerprint = self.fingerprint(name, scale)
-        keys = [timing_key(name, scale, fingerprint,
-                           machine_fingerprint(core_machine(machine)))]
+        held = {} if held is None else held
+        keys = [self._timing_key(name, scale, None, True, machine)]
         if params is not None:
-            keys.append(timing_key(name, scale, fingerprint,
-                                   machine_fingerprint(machine), params,
-                                   validate))
-        return all(self.store.contains(key) for key in keys)
+            keys.append(
+                self._timing_key(name, scale, params, validate, machine)
+            )
+        for key in keys:
+            if key not in held:
+                held[key] = self.store.contains(key)
+            if not held[key]:
+                return False
+        return True
 
     def explore_point(
         self,
@@ -501,8 +541,31 @@ class ArtifactPipeline:
         params: SelectionParams | None,
         validate: bool,
         machine: MachineConfig,
+    ) -> tuple[ExperimentResult, int]:
+        """One design-space point and the LUT area of its selection (0
+        for the baseline), answered together so a job's selection read
+        counts in the process that made it."""
+        result = self._experiment(name, scale, params, validate, machine)
+        if params is None:
+            return result, 0
+
+        def area() -> int:
+            # imported here: ``import repro.engine`` loads no hwcost
+            from repro.hwcost.area import selection_area
+
+            return selection_area(self.selection(name, scale, params))
+
+        return result, self._memoized(("area", name, scale, params), area)
+
+    def _experiment(
+        self,
+        name: str,
+        scale: int,
+        params: SelectionParams | None,
+        validate: bool,
+        machine: MachineConfig,
     ) -> ExperimentResult:
-        """One design-space point: timing plus the matching baseline.
+        """Timing plus the matching baseline.
 
         The baseline is measured on :func:`core_machine` of ``machine``
         (same core geometry, PFU fields normalised), so speedups stay
@@ -529,7 +592,7 @@ class ArtifactPipeline:
         """Run one T1000 experiment end to end (cached at every stage):
         the spec's PFU count and reconfiguration latency on the default
         core."""
-        return self.explore_point(
+        return self._experiment(
             spec.workload, spec.scale, spec.selection, spec.validate,
             spec.machine,
         )

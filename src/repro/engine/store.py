@@ -8,13 +8,17 @@ cached under a digest of everything that determines its value:
                     program fingerprint, sorted parameters)
 
 One function per kind (:func:`profile_key`, :func:`selection_key`,
-:func:`rewrite_key`, :func:`trace_key`, :func:`timing_key`) builds every
-key, for the engine pipeline, the explorer and the serve worker alike,
-so an artefact has one name in every layer.  The parameters carry the
-selection request, the ``validate`` flag, and (for timing artefacts) a
-fingerprint of the full :class:`~repro.sim.ooo.MachineConfig`, so a warm
-cache can never serve an artefact computed at a different workload scale
-or machine configuration.  Bumping :data:`SCHEMA_VERSION` invalidates
+:func:`rewrite_key`, :func:`trace_key`, :func:`timing_key`,
+:func:`fingerprint_key`) builds every key, for the engine pipeline, the
+explorer and the serve worker alike, so an artefact has one name in
+every layer.  A workload's program fingerprint is itself stored (kind
+``fingerprint``), keyed by :func:`build_source_digest` in place of a
+program fingerprint, so a warm store answers it without building the
+program.  The parameters carry the selection request, the ``validate``
+flag, and (for timing artefacts) a fingerprint of the full
+:class:`~repro.sim.ooo.MachineConfig`, so a warm cache can never serve
+an artefact computed at a different workload scale or machine
+configuration.  Bumping :data:`SCHEMA_VERSION` invalidates
 every old entry at once (old digests simply never match again).
 
 Layout under the store root::
@@ -24,7 +28,8 @@ Layout under the store root::
     counters/<token>.json   # cumulative hit/miss/put counters per process
 
 Artefacts are JSON where a faithful text codec exists (selections via
-:mod:`repro.extinst.serialize`, timing stats via :func:`stats_to_json`)
+:mod:`repro.extinst.serialize`, timing stats via :func:`stats_to_json`,
+program fingerprints as plain strings)
 and pickle otherwise (profiles, rewritten programs, traces).  Writes are
 atomic (temp file + ``os.replace``); unreadable or truncated entries are
 treated as misses and deleted, never raised.
@@ -67,7 +72,12 @@ KIND_FORMATS = {
     "rewrite": "pickle",
     "trace": "pickle",
     "timing": "json",
+    "fingerprint": "json",
 }
+
+#: What building a workload executes, relative to the ``repro`` package:
+#: :func:`build_source_digest` hashes every source file under these.
+BUILD_SOURCES = ("workloads", "asm", "isa", "program", "utils", "errors.py")
 
 
 # ----------------------------------------------------------------------
@@ -125,6 +135,30 @@ def machine_fingerprint(machine: MachineConfig) -> str:
     fields.pop("sim_fast_path", None)
     blob = json.dumps(fields, sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+@functools.cache
+def build_source_digest() -> str:
+    """Digest of the relative path and bytes of every source file in
+    :data:`BUILD_SOURCES`: what a workload's built program can depend on.
+
+    Computed on first use, once per process (1.5-2.5 ms on a 2-core
+    x86 VM).  Editing any
+    of these files changes it, so each workload's stored fingerprint
+    misses once and is rebuilt; the program fingerprint it yields, and
+    with it every other key, changes only if the built program did."""
+    root = Path(__file__).resolve().parents[1]
+    files = []
+    for entry in BUILD_SOURCES:
+        path = root / entry
+        files.extend(path.rglob("*.py") if path.is_dir() else [path])
+    h = hashlib.sha256()
+    for rel, path in sorted((p.relative_to(root).as_posix(), p)
+                            for p in files):
+        data = path.read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()[:16]
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +255,8 @@ def make_key(
 
 
 # One key function per artefact kind: the only callers of make_key.
-# Each takes the program fingerprint its caller already holds.
+# Each takes the program fingerprint its caller already holds (the
+# fingerprint kind, the build-source digest instead).
 
 #: ``scale`` of a served program's keys.  The serve worker keys a
 #: client-sent program by its name and fingerprint at this scale, with
@@ -299,6 +334,7 @@ def trace_key(
                     **_run_of(scale, params, validate, extdefs, max_steps))
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
 def timing_key(
     workload: str, scale: int, fingerprint: str, machine_fp: str,
     params: SelectionParams | None = None, validate: bool = True, *,
@@ -307,10 +343,23 @@ def timing_key(
     """The timing of the program :func:`trace_key` names on the machine
     whose fingerprint is ``machine_fp`` (for a workload's baseline, that
     of :func:`~repro.engine.pipeline.core_machine`, so every PFU setting
-    of one core shares it)."""
+    of one core shares it).
+
+    Memoized by value (typed, so ``1`` never stands in for ``True``):
+    a warm check and the answer after it ask for the same keys, and a
+    shared key computes its digest once."""
     return make_key("timing", workload, scale, fingerprint,
                     machine=machine_fp,
                     **_run_of(scale, params, validate, extdefs, max_steps))
+
+
+def fingerprint_key(
+    workload: str, scale: int, source_digest: str
+) -> ArtifactKey:
+    """The program fingerprint of a built workload.  Its identity is the
+    :func:`build_source_digest` the build ran from, not a program
+    fingerprint: the stored value is that program fingerprint."""
+    return make_key("fingerprint", workload, scale, source_digest)
 
 
 # ----------------------------------------------------------------------
@@ -358,10 +407,17 @@ def stats_from_json(data: dict) -> SimStats:
     )
 
 
+def _fingerprint_from_json(data: Any) -> str:
+    if not isinstance(data, str):
+        raise ValueError("a program fingerprint is a string")
+    return data
+
+
 #: kind -> (encode to JSON payload, decode). Pickle kinds store raw objects.
 _JSON_CODECS: dict[str, tuple[Callable, Callable]] = {
     "selection": (selection_to_json, selection_from_json),
     "timing": (stats_to_json, stats_from_json),
+    "fingerprint": (str, _fingerprint_from_json),
 }
 
 
@@ -404,7 +460,7 @@ class StoreStats:
         ]
         for kind in sorted(self.artifacts_by_kind):
             lines.append(
-                f"  {kind:<10} {self.artifacts_by_kind[kind]:>5} "
+                f"  {kind:<11} {self.artifacts_by_kind[kind]:>5} "
                 f"({self.bytes_by_kind.get(kind, 0)} bytes)"
             )
         lines.append(

@@ -136,10 +136,10 @@ class Telemetry:
                  if name.startswith(("cache.hit.", "cache.miss."))}
             )
             for kind in kinds:
+                hit = self.counters.get(f"cache.hit.{kind}", 0)
+                miss = self.counters.get(f"cache.miss.{kind}", 0)
                 lines.append(
-                    f"    {kind:<10} {self.counters.get(f'cache.hit.{kind}', 0)}"
-                    f" hit(s) / {self.counters.get(f'cache.miss.{kind}', 0)}"
-                    f" miss(es)"
+                    f"    {kind:<11} {hit} hit(s) / {miss} miss(es)"
                 )
         sims = self.total("sim")
         # a validation run is a functional run too

@@ -77,25 +77,32 @@ def warm_point_ids(
     store (:meth:`~repro.engine.ArtifactPipeline.is_warm`).
 
     Storeless engines report nothing warm (in-process memo hits still
-    avoid recomputation, but cannot be known before running).
+    avoid recomputation, but cannot be known before running).  The
+    store is asked once per distinct key: points share baselines.
     """
+    held: dict = {}
     return {
         point.point_id for point in points
         if engine.pipeline.is_warm(point.workload, point.scale,
                                    point.selection, point.validate,
-                                   point.machine)
+                                   point.machine, held)
     }
 
 
 # ----------------------------------------------------------------------
-# execution backends: both return point_id -> (cycles, baseline, n_configs)
-# plus selection areas keyed by (workload, scale, algorithm, select_pfus)
+# execution backends: both return
+# point_id -> (cycles, baseline cycles, n_configs, LUT area)
+
+Measured = dict[str, tuple[int, int, int, int]]
 
 
 def _run_points_engine(
     engine: ExperimentEngine, points: list[SweepPoint], warm_ids: set[str]
-) -> tuple[dict[str, tuple[int, int, int]], dict[tuple, int]]:
-    """Warm points are read back in process; only cold ones get jobs."""
+) -> Measured:
+    """Warm points are read back in process; only cold ones get jobs.
+    Each point's LUT area comes back with its result, from the process
+    that read its selection, so the read reaches that process's counter
+    flush."""
     requests = [
         {
             "id": point.point_id,
@@ -108,26 +115,14 @@ def _run_points_engine(
         }
         for point in points
     ]
-    results = engine.run_explore_points(requests, warm_ids)
-    measured = {
+    answers = engine.run_explore_points(requests, warm_ids)
+    return {
         point.point_id: (
-            result.stats.cycles, result.baseline_cycles, result.n_configs
+            result.stats.cycles, result.baseline_cycles, result.n_configs,
+            area,
         )
-        for point, result in zip(points, results)
+        for point, (result, area) in zip(points, answers)
     }
-    areas: dict[tuple, int] = {}
-    for point in points:
-        params = point.selection
-        if params is None:
-            continue
-        key = (
-            point.workload, point.scale, point.algorithm, point.select_pfus
-        )
-        if key not in areas:
-            areas[key] = selection_area(engine.pipeline.selection(
-                point.workload, point.scale, params
-            ))
-    return measured, areas
 
 
 def _simulate_resilient(client, pending, kwargs: dict) -> Any:
@@ -148,9 +143,7 @@ def _simulate_resilient(client, pending, kwargs: dict) -> Any:
     raise protocol.OverloadedError("server stayed overloaded")
 
 
-def _run_points_serve(
-    client, points: list[SweepPoint]
-) -> tuple[dict[str, tuple[int, int, int]], dict[tuple, int]]:
+def _run_points_serve(client, points: list[SweepPoint]) -> Measured:
     """Run a sweep's points against a toolflow service.
 
     One compile+profile per (workload, scale); one select+rewrite per
@@ -159,8 +152,7 @@ def _run_points_serve(
     has no artifact store: every point reported from it counts as
     simulated.
     """
-    measured: dict[str, tuple[int, int, int]] = {}
-    areas: dict[tuple, int] = {}
+    measured: Measured = {}
     by_program: dict[tuple[str, int], list[SweepPoint]] = {}
     for point in points:
         by_program.setdefault((point.workload, point.scale), []).append(point)
@@ -198,7 +190,7 @@ def _run_points_serve(
             if point.algorithm == "baseline":
                 fp = machine_fingerprint(point.machine)
                 cycles = base_cycles[fp]
-                measured[point.point_id] = (cycles, cycles, 0)
+                measured[point.point_id] = (cycles, cycles, 0, 0)
                 continue
             skey = (point.algorithm, point.select_pfus)
             if skey not in prepared:
@@ -213,20 +205,20 @@ def _run_points_serve(
                 # The ref pins ext_defs alongside the rewritten program,
                 # so the simulate fan-out below carries neither inline.
                 ref = client.trace_ref(program=rewritten, ext_defs=defs)
-                prepared[skey] = (ref, selection)
-                areas[(workload, scale) + skey] = selection_area(selection)
-            ref, selection = prepared[skey]
+                prepared[skey] = (ref, selection, selection_area(selection))
+            ref, selection, area = prepared[skey]
             kwargs = dict(program=ref, machine=point.machine)
             pendings.append((
-                point, selection, client.simulate_submit(**kwargs), kwargs
+                point, selection, area, client.simulate_submit(**kwargs),
+                kwargs,
             ))
-        for point, selection, pending, kwargs in pendings:
+        for point, selection, area, pending, kwargs in pendings:
             stats = _simulate_resilient(client, pending, kwargs)
             fp = machine_fingerprint(core_machine(point.machine))
             measured[point.point_id] = (
-                stats.cycles, base_cycles[fp], selection.n_configs
+                stats.cycles, base_cycles[fp], selection.n_configs, area
             )
-    return measured, areas
+    return measured
 
 
 # ----------------------------------------------------------------------
@@ -266,25 +258,20 @@ def run_sweep(
 
         with rec.span("explore.execute", points=len(plan.simulate)):
             if client is not None:
-                measured, areas = _run_points_serve(client, plan.simulate)
+                measured = _run_points_serve(client, plan.simulate)
             else:
-                measured, areas = _run_points_engine(
+                measured = _run_points_engine(
                     engine, plan.simulate, warm_ids
                 )
 
         results: list[PointResult] = []
         speedups: dict[str, float] = {}
         for point in plan.simulate:
-            cycles, baseline_cycles, n_configs = measured[point.point_id]
+            cycles, baseline_cycles, n_configs, area = (
+                measured[point.point_id]
+            )
             speedup = baseline_cycles / cycles
             speedups[point.point_id] = speedup
-            if point.algorithm == "baseline":
-                area = 0
-            else:
-                area = areas[(
-                    point.workload, point.scale,
-                    point.algorithm, point.select_pfus,
-                )]
             results.append(PointResult(
                 point_id=point.point_id,
                 workload=point.workload,

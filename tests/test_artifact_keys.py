@@ -5,7 +5,10 @@ A recording store double answers each ``get`` with a stand-in value, so
 no stage computes anything: the tests see only which keys are asked
 for.  The digests in ``data/artifact_keys.json`` were captured before
 the key functions existed; if one changes, every warm store recomputes
-that artefact.
+that artefact.  A ``fingerprint`` get is answered with the workload's
+real program fingerprint, which every other key carries; its own digest
+follows the build-source digest, so it changes with every edit to a
+build source and is not pinned.
 """
 
 import itertools
@@ -14,13 +17,14 @@ import pathlib
 
 import pytest
 
-from repro.engine import ArtifactPipeline, Telemetry
+from repro.engine import ArtifactPipeline, Telemetry, program_fingerprint
 from repro.engine.pipeline import BASELINE_MACHINE, requested_selection
 from repro.extinst import SelectionParams
 from repro.extinst.registry import BASELINE, GREEDY, ISEGEN, SELECTIVE
 from repro.serve import protocol
 from repro.serve.ops import OpRunner
 from repro.sim.ooo import MachineConfig, SimStats
+from repro.workloads import build_workload
 from repro.workloads.registry import WORKLOAD_NAMES
 
 GOLDEN = json.loads(
@@ -41,6 +45,10 @@ class RecordingStore:
 
     def get(self, key):
         self.keys.append(key)
+        if key.kind == "fingerprint":
+            return program_fingerprint(
+                build_workload(key.workload, key.scale).program
+            )
         return SimStats() if key.kind == "timing" else ("stand-in", key.kind)
 
     def put(self, key, value):
@@ -54,9 +62,11 @@ class RecordingStore:
 
 
 def recorded(store):
-    """``describe -> digest`` of the recorded keys, each asked once."""
+    """``describe -> digest`` of the recorded keys, each asked once,
+    leaving out the unpinned ``fingerprint`` keys."""
     assert len(store.keys) == len(set(store.keys)), "a key was asked twice"
-    return {key.describe(): key.digest for key in store.keys}
+    return {key.describe(): key.digest for key in store.keys
+            if key.kind != "fingerprint"}
 
 
 def grid_keys(workload):
@@ -76,6 +86,10 @@ def grid_keys(workload):
             pipeline.rewrite(workload, 1, params, validate)
             pipeline.trace(workload, 1, params, validate)
         pipeline.timing_for(workload, 1, params, validate, machine)
+    fingerprints = [key for key in store.keys if key.kind == "fingerprint"]
+    assert [(key.workload, key.scale) for key in fingerprints] == [
+        (workload, 1)
+    ]
     return recorded(store)
 
 

@@ -134,6 +134,25 @@ class TestCounterFlush:
         assert hits > 0
         assert misses == puts > 0
 
+    def test_parallel_sweep_persists_the_parents_selection_hits(
+        self, tmp_path
+    ):
+        # each point's LUT area is read with its answer, inside the run,
+        # so no selection read lands after the run's one flush
+        spec = SweepSpec.from_json({
+            "name": "flush-jobs", "workloads": ["gsm_encode"],
+            "prune": False,
+            "axes": {"algorithm": ["selective"], "n_pfus": [1, 2],
+                     "reconfig_latency": [0, 100]},
+        })
+        engine = make_engine(tmp_path, jobs=2)
+        assert run_sweep(spec, engine).n_points == 5
+        counted = engine.store.stats().counters      # flushed + unflushed
+        persisted = ArtifactStore(tmp_path / "cache").stats().counters
+        assert persisted.get("cache.hit.selection", 0) == counted.get(
+            "cache.hit.selection", 0)
+        assert persisted == counted
+
 
 class TestParallel:
     def test_parallel_matches_serial(self, tmp_path, reference_rows):

@@ -9,6 +9,7 @@ import os
 import pytest
 
 from repro.engine import EngineConfig, ExperimentEngine, make_spec
+from repro.engine import pipeline as pipeline_module
 from repro.explore import SweepSpec, frontier_pairs, run_sweep
 from repro.harness import cli, figures
 from repro.utils.tables import format_table
@@ -126,44 +127,110 @@ def rows(outcome) -> dict[str, dict]:
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Every key an :class:`ArtifactStore` is asked for, and the size
-    of every job graph a :class:`Scheduler` runs."""
+    """Every key an :class:`ArtifactStore` is asked for, checked for or
+    given, the size of every job graph a :class:`Scheduler` runs, and
+    every workload the pipeline builds."""
     from repro.engine import ArtifactStore, Scheduler
 
-    log = {"gets": [], "jobs": []}
-    real_get, real_run = ArtifactStore.get, Scheduler.run
+    log = {"gets": [], "contains": [], "puts": [], "jobs": [], "builds": []}
+    real_get, real_put = ArtifactStore.get, ArtifactStore.put
+    real_contains = ArtifactStore.contains
+    real_run = Scheduler.run
+    real_build = pipeline_module.build_workload
 
     def get(self, key):
         log["gets"].append(key)
         return real_get(self, key)
 
+    def contains(self, key):
+        log["contains"].append(key)
+        return real_contains(self, key)
+
+    def put(self, key, value):
+        log["puts"].append(key)
+        return real_put(self, key, value)
+
     def run(self, graph, runner):
         log["jobs"].append(len(graph))
         return real_run(self, graph, runner)
 
+    def build(name, scale=1):
+        log["builds"].append((name, scale))
+        return real_build(name, scale)
+
     monkeypatch.setattr(ArtifactStore, "get", get)
+    monkeypatch.setattr(ArtifactStore, "contains", contains)
+    monkeypatch.setattr(ArtifactStore, "put", put)
     monkeypatch.setattr(Scheduler, "run", run)
+    monkeypatch.setattr(pipeline_module, "build_workload", build)
     return log
 
 
+def clear(log):
+    for calls in log.values():
+        calls.clear()
+
+
 class TestWarmPath:
-    """A warm point is read back in process: no scheduler job, and no
-    store read beyond its timings and its selection (call counts, no
-    timing)."""
+    """A warm point is read back in process: no scheduler job, no
+    workload build, and no store read beyond its program fingerprint,
+    its timings and its selection (call counts, no timing)."""
 
     def test_fully_warm_sweep_runs_no_job_and_reads_answers_only(
         self, tmp_path, engine_calls
     ):
         spec = small_spec(workloads=["gsm_encode", "epic"])
         cold = run_sweep(spec, engine_for(tmp_path))
-        engine_calls["gets"].clear()
-        engine_calls["jobs"].clear()
+        clear(engine_calls)
         warm = run_sweep(spec, engine_for(tmp_path))
         assert warm.n_simulated == 0 and warm.n_warm == cold.n_simulated
         assert sum(engine_calls["jobs"]) == 0
+        assert engine_calls["builds"] == []
         kinds = {key.kind for key in engine_calls["gets"]}
-        assert kinds == {"timing", "selection"}
+        assert kinds == {"timing", "selection", "fingerprint"}
+        fingerprints = [(key.workload, key.scale)
+                        for key in engine_calls["gets"]
+                        if key.kind == "fingerprint"]
+        assert sorted(fingerprints) == [("epic", 1), ("gsm_encode", 1)]
+        # one key per point, the baseline points' keys being the one
+        # baseline every other point shares: the check asks once each
+        checked = engine_calls["contains"]
+        assert len(checked) == len(set(checked)) == warm.n_points
         assert rows(warm) == rows(cold)
+
+    def test_edited_build_sources_rebuild_once_and_stay_warm(
+        self, tmp_path, engine_calls, monkeypatch
+    ):
+        spec = small_spec()
+        cold = run_sweep(spec, engine_for(tmp_path))
+        run_sweep(spec, engine_for(tmp_path))
+        warm_timings = {key for key in engine_calls["gets"]
+                        if key.kind == "timing"}
+        clear(engine_calls)
+        monkeypatch.setattr(pipeline_module, "build_source_digest",
+                            lambda: "edited-sources")
+        edited = run_sweep(spec, engine_for(tmp_path))
+        assert engine_calls["builds"] == [("gsm_encode", 1)]
+        assert [key.kind for key in engine_calls["puts"]] == ["fingerprint"]
+        assert engine_calls["puts"][0].fingerprint == "edited-sources"
+        assert {key for key in engine_calls["gets"]
+                if key.kind == "timing"} == warm_timings
+        assert edited.n_simulated == 0 and edited.n_warm == cold.n_simulated
+        assert rows(edited) == rows(cold)
+
+    def test_corrupt_fingerprint_entry_is_a_miss(self, tmp_path,
+                                                 engine_calls):
+        spec = small_spec()
+        cold = run_sweep(spec, engine_for(tmp_path))
+        (entry,) = (tmp_path / "cache" / "objects").glob("*/fingerprint-*")
+        entry.write_text('{"payload": 7')
+        clear(engine_calls)
+        engine = engine_for(tmp_path)
+        again = run_sweep(spec, engine)
+        assert engine.telemetry.total("cache.corrupt.fingerprint") == 1
+        assert engine_calls["builds"] == [("gsm_encode", 1)]
+        assert [key.kind for key in engine_calls["puts"]] == ["fingerprint"]
+        assert again.n_simulated == 0 and rows(again) == rows(cold)
 
     def test_resumed_sweep_loads_only_cold_selections(
         self, tmp_path, engine_calls
@@ -203,12 +270,12 @@ class TestWarmPath:
         specs = [make_spec("gsm_encode", "selective", 2, 10),
                  make_spec("gsm_encode", "baseline", None, 0)]
         cold = engine_for(tmp_path).run_batch(specs)
-        engine_calls["gets"].clear()
-        engine_calls["jobs"].clear()
+        clear(engine_calls)
         warm = engine_for(tmp_path).run_batch(specs)
         assert sum(engine_calls["jobs"]) == 0
+        assert engine_calls["builds"] == []
         assert {key.kind for key in engine_calls["gets"]} == {
-            "timing", "selection"
+            "timing", "selection", "fingerprint"
         }
         assert [(r.stats, r.baseline_cycles, r.n_configs) for r in warm] == [
             (r.stats, r.baseline_cycles, r.n_configs) for r in cold

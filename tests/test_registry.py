@@ -290,6 +290,8 @@ class TestMachineIdentity:
 
         class KeyLog(ArtifactStore):
             def get(self, key):
+                if key.kind == "fingerprint":   # the real program's
+                    return super().get(key)
                 looked_up.append(key)
                 return object()            # a hit: nothing simulates
 
