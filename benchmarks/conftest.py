@@ -9,30 +9,27 @@ synthetic substrate and are recorded, not asserted.
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
 
-from repro.engine import EngineConfig, ExperimentEngine
+from repro.engine import ExperimentEngine, default_engine
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
 def engine() -> ExperimentEngine:
-    """One experiment engine for the whole benchmark session.
+    """One experiment engine for the whole benchmark session: the
+    process-wide :func:`~repro.engine.default_engine`.
 
-    Honours ``T1000_JOBS`` / ``T1000_CACHE_DIR`` / ``T1000_NO_CACHE`` so
-    benchmark runs can be parallelised and reuse a warm persistent cache;
-    by default it is serial and storeless, sharing the process-wide
-    pipeline so the figure drivers reuse each other's artefacts.
+    It honours ``T1000_JOBS`` / ``T1000_CACHE_DIR`` / ``T1000_NO_CACHE``
+    so benchmark runs can be parallelised and reuse a warm persistent
+    cache; by default it is serial and storeless, sharing the
+    process-wide pipeline so the figure drivers reuse each other's
+    artefacts.
     """
-    return ExperimentEngine(EngineConfig(
-        jobs=int(os.environ.get("T1000_JOBS") or 1),
-        cache_dir=os.environ.get("T1000_CACHE_DIR") or None,
-        no_cache=bool(os.environ.get("T1000_NO_CACHE")),
-    ))
+    return default_engine()
 
 
 def write_result(name: str, text: str) -> None:

@@ -12,9 +12,11 @@ functions build (workload, scale, program fingerprint, and — where it
 matters — the selection request, ``validate`` flag, and machine
 fingerprint), so artefacts can never leak between configurations.
 
-:func:`execute_job` at the bottom is the scheduler's worker entry point:
-a module-level function (picklable for ``ProcessPoolExecutor``) that
-dispatches one job payload against a per-process pipeline.
+An engine request is a *point* (:data:`Point`); :func:`answer` is what
+one asks the pipeline.  :func:`execute_job` at the bottom is the pool's
+worker entry point: a module-level function (picklable for
+``ProcessPoolExecutor``) that runs one job against a per-process
+pipeline.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import functools
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from repro.engine.store import (
@@ -31,7 +33,6 @@ from repro.engine.store import (
     build_source_digest,
     fingerprint_key,
     machine_fingerprint,
-    machine_from_json,
     profile_key,
     program_fingerprint,
     rewrite_key,
@@ -57,7 +58,6 @@ from repro.extinst.registry import (
     normalize_select_pfus,
     selection_cache_extras,
 )
-from repro.extinst.serialize import selection_from_json, selection_to_json
 from repro.obs import get_recorder
 from repro.profiling import ProgramProfile, profile_program
 from repro.program.program import Program
@@ -106,6 +106,12 @@ def requested_selection(
     return SelectionParams(algorithm=algorithm, select_pfus=select_pfus)
 
 
+#: One request the engine answers: ``(workload, scale, selection,
+#: validate, machine)``.  The selection is None for the baseline, the
+#: machine None for a selection alone.
+Point = tuple[str, int, SelectionParams | None, bool, MachineConfig | None]
+
+
 def _scoped(**labels):
     """Ambient-label scope for metrics recorded inside a stage compute.
 
@@ -139,16 +145,6 @@ class ExperimentSpec:
     select_pfus: int | None = None
     validate: bool = True
 
-    def token(self) -> str:
-        """Stable human-readable identity (used for scheduler job ids)."""
-        pfus = "unl" if self.n_pfus is None else self.n_pfus
-        sel = "unl" if self.select_pfus is None else self.select_pfus
-        return (
-            f"{self.workload}@{self.scale}:{self.algorithm}"
-            f":pfus={pfus}:sel={sel}:reconf={self.reconfig_latency}"
-            f":val={int(self.validate)}"
-        )
-
     @property
     def selection(self) -> SelectionParams | None:
         return requested_selection(self.algorithm, self.select_pfus)
@@ -162,6 +158,11 @@ class ExperimentSpec:
         return MachineConfig(
             n_pfus=self.n_pfus, reconfig_latency=self.reconfig_latency
         )
+
+    @property
+    def point(self) -> Point:
+        return (self.workload, self.scale, self.selection, self.validate,
+                self.machine)
 
 
 def make_spec(
@@ -545,7 +546,7 @@ class ArtifactPipeline:
         """One design-space point and the LUT area of its selection (0
         for the baseline), answered together so a job's selection read
         counts in the process that made it."""
-        result = self._experiment(name, scale, params, validate, machine)
+        result = self.experiment(name, scale, params, validate, machine)
         if params is None:
             return result, 0
 
@@ -557,7 +558,7 @@ class ArtifactPipeline:
 
         return result, self._memoized(("area", name, scale, params), area)
 
-    def _experiment(
+    def experiment(
         self,
         name: str,
         scale: int,
@@ -592,10 +593,7 @@ class ArtifactPipeline:
         """Run one T1000 experiment end to end (cached at every stage):
         the spec's PFU count and reconfiguration latency on the default
         core."""
-        return self._experiment(
-            spec.workload, spec.scale, spec.selection, spec.validate,
-            spec.machine,
-        )
+        return self.experiment(*spec.point)
 
     def flush(self) -> None:
         if self.store is not None:
@@ -617,7 +615,35 @@ def get_default_pipeline() -> ArtifactPipeline:
 
 
 # ----------------------------------------------------------------------
-# scheduler worker entry point
+# engine requests
+
+
+def point_token(point: Point) -> str:
+    """Stable human-readable identity of a point (job ids, errors)."""
+    workload, scale, params, validate, machine = point
+    token = f"{workload}@{scale}"
+    if params is not None:
+        sel = "unl" if params.select_pfus is None else params.select_pfus
+        token += f":{params.algorithm}:sel={sel}:val={int(validate)}"
+    if machine is not None:
+        token += f":machine={machine_fingerprint(machine)[:12]}"
+    return token
+
+
+def answer(pipeline: ArtifactPipeline, stage: str, point: Point) -> Any:
+    """What one engine request asks ``pipeline`` for ``point``: an
+    ``"experiment"``'s result, an ``"explore"`` point's result and LUT
+    area (:meth:`ArtifactPipeline.explore_point`), or a ``"selection"``."""
+    workload, scale, params, _, _ = point
+    if stage == "selection":
+        return pipeline.selection(workload, scale, params)
+    if stage == "explore":
+        return pipeline.explore_point(*point)
+    return pipeline.experiment(*point)
+
+
+# ----------------------------------------------------------------------
+# pool worker entry point
 
 _WORKER_PIPELINES: dict[str, ArtifactPipeline] = {}
 
@@ -630,69 +656,35 @@ def _pipeline_for(cache_dir: str | None) -> ArtifactPipeline:
     return _WORKER_PIPELINES[key]
 
 
-def run_stage(pipeline: ArtifactPipeline, payload: dict) -> dict:
-    """Execute one job payload against ``pipeline``.
+def execute_job(payload: dict) -> dict:
+    """Run one pool job against this process's pipeline for its cache dir.
 
+    A ``"profile"`` job puts the point's profile in the store, and a
+    ``"prepare"`` job its selection, rewrite and trace, for the jobs
+    that depend on them; any other stage returns its :func:`answer`.
     Returns ``{"value": ..., "telemetry": {...}, "wall_time": ...}``;
     the telemetry dict is the counter delta this job produced, which the
-    parent merges into the run's telemetry.
+    parent merges into the run's telemetry.  A job is a worker's only
+    exit point, so its store counters are persisted here, once per job,
+    whether the stage succeeds or not.
     """
+    pipeline = _pipeline_for(payload["cache_dir"])
     snapshot = pipeline.telemetry.snapshot()
     started = time.perf_counter()
-    stage = payload["stage"]
+    stage, point = payload["stage"], payload["point"]
+    workload, scale, params, validate, _ = point
     value: Any = None
-    if stage == "profile":
-        name, scale = payload["workload"], payload["scale"]
-        pipeline.profile(name, scale)
-        if payload.get("baseline", True):
-            pipeline.baseline_timing(name, scale)
-    elif stage == "prepare":
-        name, scale = payload["workload"], payload["scale"]
-        params = SelectionParams(algorithm=payload["algorithm"],
-                                 select_pfus=payload["select_pfus"])
-        selection = pipeline.selection(name, scale, params)
-        if payload.get("materialize", True):
-            validate = payload["validate"]
-            pipeline.rewrite(name, scale, params, validate)
-            pipeline.trace(name, scale, params, validate)
-        if payload.get("return_selection", False):
-            value = selection_to_json(selection)
-    elif stage == "experiment":
-        spec = ExperimentSpec(**payload["spec"])
-        value = pipeline.run(spec)
-    elif stage == "explore":
-        value = pipeline.explore_point(
-            payload["workload"], payload["scale"],
-            requested_selection(payload["algorithm"], payload["select_pfus"]),
-            payload["validate"], machine_from_json(payload["machine"]),
-        )
-    else:
-        raise ConfigurationError(f"unknown job stage {stage!r}")
+    try:
+        if stage == "profile":
+            pipeline.profile(workload, scale)
+        elif stage == "prepare":
+            pipeline.trace(workload, scale, params, validate)
+        else:
+            value = answer(pipeline, stage, point)
+    finally:
+        pipeline.flush()
     return {
         "value": value,
         "telemetry": pipeline.telemetry.delta_since(snapshot),
         "wall_time": time.perf_counter() - started,
     }
-
-
-def execute_job(payload: dict) -> dict:
-    """Worker-process job runner (resolves the pipeline by cache dir).
-
-    A job is a worker's only exit point, so its store counters are
-    persisted here, once per job, whether the stage succeeds or not."""
-    pipeline = _pipeline_for(payload.get("cache_dir"))
-    try:
-        return run_stage(pipeline, payload)
-    finally:
-        pipeline.flush()
-
-
-def spec_payload(spec: ExperimentSpec, cache_dir: str | None) -> dict:
-    """Build the picklable job payload for an experiment spec."""
-    return {"stage": "experiment", "cache_dir": cache_dir,
-            "spec": asdict(spec)}
-
-
-def selection_from_payload(value: dict) -> Selection:
-    """Decode the selection JSON a "prepare" job returns."""
-    return selection_from_json(value)

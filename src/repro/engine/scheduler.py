@@ -1,10 +1,12 @@
 """Dependency-DAG job scheduler for the experiment engine.
 
-Experiment requests become :class:`Job` objects in a :class:`JobGraph`
-(timing jobs depend on rewrite jobs depend on selection jobs depend on
-profile jobs).  A :class:`Scheduler` executes the graph either inline
-(``jobs=1`` — deterministic topological order, no processes) or across a
-``concurrent.futures.ProcessPoolExecutor``, with:
+A pool run (``jobs > 1``) turns the points the store cannot answer into
+:class:`Job` objects in a :class:`JobGraph` (a point's leaf job depends
+on its baseline and prepare jobs, which depend on a profile job); a
+``jobs=1`` run makes no job.  A :class:`Scheduler` executes a graph
+across a ``concurrent.futures.ProcessPoolExecutor``, or inline
+(deterministic topological order, no processes) when it is given one
+worker or one job, with:
 
 - **per-job timeouts** — enforced inside the worker via ``SIGALRM``
   (platforms without it run without enforcement);

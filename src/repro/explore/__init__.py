@@ -21,7 +21,7 @@ Modules: :mod:`~repro.explore.spec` (declarative sweep specs expanding
 into content-addressed points), :mod:`~repro.explore.prune`
 (dominated-point pruning on provably monotone axes, every skip logged),
 :mod:`~repro.explore.driver` (cache-aware execution through the engine
-job graph or a :mod:`repro.serve` fleet, resumable from the store),
+or a :mod:`repro.serve` fleet, resumable from the store),
 :mod:`~repro.explore.pareto` (speedup-vs-LUT-area frontiers, best-per-
 workload tables, JSON/CSV export), :mod:`~repro.explore.state`
 (persistent sweep progress under the cache dir).  CLI:

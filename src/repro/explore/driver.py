@@ -3,12 +3,12 @@
 :func:`run_sweep` is the one entry point.  It expands a
 :class:`~repro.explore.spec.SweepSpec`, classifies points as *warm*
 (their timing and baseline timing already sit in the engine store —
-read back in process with no job, never re-simulated, which is also
-what makes a crashed sweep resumable with zero repeated work), plans
-dominated-point pruning, executes the remaining cold points — in-process
-through the
-:class:`~repro.engine.ExperimentEngine` job graph, or across a
-:mod:`repro.serve` fleet when given a
+read back, never re-simulated, which is also what makes a crashed
+sweep resumable with zero repeated work), plans dominated-point
+pruning, executes the remaining points — through the
+:class:`~repro.engine.ExperimentEngine` (one in-process pipeline call
+per point with ``jobs=1``; cold points as pool jobs otherwise), or
+across a :mod:`repro.serve` fleet when given a
 :class:`~repro.serve.client.ServeClient` — and assembles
 :class:`~repro.explore.pareto.PointResult` rows plus one
 :class:`~repro.explore.prune.SkipRecord` per pruned point, so coverage
@@ -97,25 +97,16 @@ Measured = dict[str, tuple[int, int, int, int]]
 
 
 def _run_points_engine(
-    engine: ExperimentEngine, points: list[SweepPoint], warm_ids: set[str]
+    engine: ExperimentEngine, points: list[SweepPoint]
 ) -> Measured:
-    """Warm points are read back in process; only cold ones get jobs.
-    Each point's LUT area comes back with its result, from the process
+    """Each point's LUT area comes back with its result, from the process
     that read its selection, so the read reaches that process's counter
     flush."""
-    requests = [
-        {
-            "id": point.point_id,
-            "workload": point.workload,
-            "scale": point.scale,
-            "algorithm": point.algorithm,
-            "select_pfus": point.select_pfus,
-            "validate": point.validate,
-            "machine": point.machine,
-        }
+    answers = engine.run_explore_points([
+        (point.workload, point.scale, point.selection, point.validate,
+         point.machine)
         for point in points
-    ]
-    answers = engine.run_explore_points(requests, warm_ids)
+    ])
     return {
         point.point_id: (
             result.stats.cycles, result.baseline_cycles, result.n_configs,
@@ -238,7 +229,7 @@ def run_sweep(
     set, points execute on a toolflow service instead of the local
     engine (no store: nothing is warm, nothing persists).  Re-running
     against the same store re-simulates nothing — warm points are
-    recognised before scheduling and their results fetched from cache.
+    recognised before pruning and their results fetched from cache.
     """
     engine = engine or default_engine()
     do_prune = spec.prune if prune is None else prune
@@ -260,9 +251,7 @@ def run_sweep(
             if client is not None:
                 measured = _run_points_serve(client, plan.simulate)
             else:
-                measured = _run_points_engine(
-                    engine, plan.simulate, warm_ids
-                )
+                measured = _run_points_engine(engine, plan.simulate)
 
         results: list[PointResult] = []
         speedups: dict[str, float] = {}

@@ -75,7 +75,8 @@ def test_obs_flags_produce_well_formed_files(tmp_path, capsys):
     assert data["meta"]["version"] == 1
     names = {row["name"] for row in data["metrics"]}
     assert any(n.startswith("sim.stall.") for n in names)
-    assert "engine.jobs.ok" in names
+    # an inline run makes no job; its engine counters still arrive
+    assert "engine.sim.timing" in names
     payload = load_trace_events(trace)
     assert any(e["ph"] == "X" for e in payload["traceEvents"])
 
@@ -85,6 +86,13 @@ def test_obs_flags_produce_well_formed_files(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "per-stage stall cycles" in out
     assert "gsm_encode [selective]" in out
+
+    pooled = str(tmp_path / "pooled.jsonl")
+    rc = main(["run", "gsm_encode", "--algorithm", "selective", "--pfus", "2",
+               "--no-cache", "--jobs", "2", "--metrics-out", pooled])
+    assert rc == 0
+    names = {row["name"] for row in load_jsonl(pooled)["metrics"]}
+    assert "engine.jobs.ok" in names
 
 
 def test_engine_flags_honored_on_profile(tmp_path, capsys):

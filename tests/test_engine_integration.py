@@ -12,7 +12,7 @@ import pytest
 import repro.engine.pipeline as pipeline_module
 from repro.engine import (
     ArtifactPipeline, ArtifactStore, EngineConfig, EngineError,
-    ExperimentEngine, make_spec,
+    ExperimentEngine, Scheduler, make_spec,
 )
 from repro.errors import ExtInstError
 from repro.extinst import SelectionParams
@@ -96,8 +96,16 @@ class TestCounterFlush:
             run_sweep(spec, engine)
             assert len(counter_writes) == 1, counter_writes
 
+    @pytest.mark.parametrize("run", [
+        lambda engine: engine.run(make_spec(WORKLOAD, "greedy", 2, 10)),
+        lambda engine: run_sweep(SweepSpec.from_json({
+            "name": "broken", "workloads": [WORKLOAD],
+            "axes": {"algorithm": ["greedy"], "n_pfus": [2],
+                     "reconfig_latency": [10]},
+        }), engine),
+    ], ids=["engine.run", "run_sweep"])
     def test_failed_run_keeps_the_counts_of_stages_that_ran(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, run
     ):
         real_simulate = pipeline_module.OoOSimulator.simulate
 
@@ -110,7 +118,7 @@ class TestCounterFlush:
                             rewritten_replay_breaks)
         engine = make_engine(tmp_path, jobs=1)
         with pytest.raises(EngineError, match="replay broke"):
-            engine.run(make_spec(WORKLOAD, "greedy", 2, 10))
+            run(engine)
         # A fresh store sees only what reached disk: every stage's puts,
         # plus the failed stage's timing miss and replay.
         persisted = ArtifactStore(tmp_path / "cache").stats()
@@ -210,20 +218,41 @@ class TestFunctionalRunCount:
         return (telemetry.total("sim.functional")
                 + telemetry.total("sim.validate"))
 
+    #: store puts by kind of the cold sweep: one per artefact, each
+    #: made once
+    COLD_PUTS = {"fingerprint": 2, "profile": 2, "selection": 8,
+                 "rewrite": 8, "trace": 10, "timing": 10}
+
     def test_cold_serial_sweep_runs_each_program_once(self, tmp_path,
-                                                      run_log):
+                                                      run_log, monkeypatch):
+        graphs = []
+        real_run = Scheduler.run
+
+        def run(self, graph, runner):
+            graphs.append(len(graph))
+            return real_run(self, graph, runner)
+
+        monkeypatch.setattr(Scheduler, "run", run)
         spec = SweepSpec.from_json(self.SPEC)
         cold = make_engine(tmp_path, jobs=1)
         run_sweep(spec, cold)
         assert cold.store.stats().artifacts_by_kind["rewrite"] == 8
         assert len(run_log) == self.COLD_RUNS
         assert self._counted(cold) == self.COLD_RUNS
+        assert {
+            name.removeprefix("store.put."): count
+            for name, count in cold.store.stats().counters.items()
+            if name.startswith("store.put.")
+        } == self.COLD_PUTS
+        # a serial engine calls the pipeline directly, cold or warm
+        assert graphs == []
 
         run_log.clear()
         warm = make_engine(tmp_path, jobs=1)
         run_sweep(spec, warm)
         assert run_log == []
         assert self._counted(warm) == 0
+        assert graphs == []
 
     def test_parallel_sweep_never_runs_more_than_before(self, tmp_path):
         engine = make_engine(tmp_path, jobs=2)
